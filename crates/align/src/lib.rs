@@ -1,7 +1,10 @@
 //! # swdual-align — Smith-Waterman / Gotoh alignment kernels
 //!
-//! Implements the comparison algorithms of the paper (§II) and the
-//! algorithmic cores of every baseline it measures against (§V, Table I):
+//! Implements the comparison algorithms of the paper (§II). The
+//! baselines it measures against (§V, Table I: SWIPE, STRIPED, SWPS3)
+//! enter the reproduction as calibrated rates in `platform::calib`, not
+//! as separate kernels here; this crate is what actually computes every
+//! score on the host:
 //!
 //! * [`scalar`] — reference implementations: linear-gap Smith-Waterman
 //!   (paper Eq. 1) and the Gotoh affine-gap recurrences (Eqs. 2–4).
@@ -15,15 +18,7 @@
 //!   CUDASW++.
 //! * [`striped`] — Farrar's striped vertical SIMD kernel [18]
 //!   (the STRIPED baseline), with saturating 16-bit lanes and scalar
-//!   recompute on overflow.
-//! * [`interseq`] — Rognes' inter-sequence SIMD kernel [9] (the SWIPE
-//!   baseline): one query against `LANES` database sequences at once.
-//! * [`wavefront`] — the fine-grained multi-PE parallelisation of
-//!   Figure 2: the DP matrix is cut into blocks and anti-diagonals of
-//!   blocks are computed in parallel (rayon), borders handed between
-//!   neighbours.
-//! * [`engine`] — a common [`engine::AlignEngine`] trait plus the
-//!   database-search drivers the workers run.
+//!   recompute on overflow; [`striped8`] is its biased-byte twin.
 //!
 //! All kernels consume residues already encoded by `swdual-bio` and score
 //! with a [`swdual_bio::ScoringScheme`]. Scores are `i32` end-to-end;
@@ -35,17 +30,16 @@
 //! host ISA once, route through AVX2 / NEON / `std::simd` / scalar
 //! backends), a [`profile_cache`] that reuses built query profiles
 //! across jobs, and the [`tiered`] SWIPE-style pipeline (byte lanes →
-//! 16-bit lanes → scalar) that is the default database scoring path.
+//! 16-bit lanes → scalar), the one database scoring path: CPU workers
+//! and the simulated GPU both score every subject through
+//! [`QueryProfiles`] + [`tiered_score`].
 
 #![cfg_attr(feature = "portable-simd", feature(portable_simd))]
 
 pub mod alignment;
 pub mod banded;
 pub mod dispatch;
-pub mod engine;
-pub mod interseq;
 pub mod linspace;
-pub mod par_search;
 pub mod profile;
 pub mod profile_cache;
 pub mod scalar;
@@ -56,12 +50,10 @@ pub mod striped;
 pub mod striped8;
 pub mod tiered;
 pub mod traceback;
-pub mod wavefront;
 pub mod wide;
 
 pub use alignment::{AlignOp, Alignment};
 pub use dispatch::{Backend, QueryProfiles};
-pub use engine::{AlignEngine, EngineKind, PhaseTimings};
 pub use profile_cache::ProfileCache;
 pub use scalar::{gotoh_score, sw_linear_score};
 pub use tiered::{tiered_score, TierStats};

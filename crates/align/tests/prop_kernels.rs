@@ -6,13 +6,10 @@
 use proptest::prelude::*;
 use swdual_align::banded::{banded_gotoh_score, bandwidth_for};
 use swdual_align::dispatch::{Backend, QueryProfiles};
-use swdual_align::engine::EngineKind;
-use swdual_align::interseq::interseq_batch_exact;
 use swdual_align::scalar::{gotoh_score, sw_linear_score};
 use swdual_align::striped::striped_score_exact;
 use swdual_align::tiered::{tiered_score, TierStats};
 use swdual_align::traceback::{self, Mode};
-use swdual_align::wavefront::{wavefront_score, WavefrontConfig};
 use swdual_bio::{Alphabet, Matrix, ScoringScheme};
 
 /// Random protein residues (codes 0..20, the unambiguous amino acids).
@@ -59,43 +56,6 @@ proptest! {
     #[test]
     fn striped_agrees_on_blosum(q in residues(120), s in residues(160), sch in blosum_scheme()) {
         prop_assert_eq!(striped_score_exact(&q, &s, &sch), gotoh_score(&q, &s, &sch));
-    }
-
-    #[test]
-    fn interseq_agrees_with_scalar(
-        q in residues(80),
-        subjects in prop::collection::vec(residues(120), 0..8),
-        sch in scheme(),
-    ) {
-        let refs: Vec<&[u8]> = subjects.iter().map(|s| s.as_slice()).collect();
-        let got = interseq_batch_exact(&q, &refs, &sch);
-        for (l, s) in refs.iter().enumerate() {
-            prop_assert_eq!(got[l], gotoh_score(&q, s, &sch), "lane {}", l);
-        }
-    }
-
-    #[test]
-    fn wavefront_agrees_with_scalar(
-        q in residues(150),
-        s in residues(150),
-        sch in scheme(),
-        br in 1usize..40,
-        bc in 1usize..40,
-    ) {
-        let cfg = WavefrontConfig { block_rows: br, block_cols: bc };
-        prop_assert_eq!(
-            wavefront_score(&q, &s, &sch, cfg),
-            gotoh_score(&q, &s, &sch)
-        );
-    }
-
-    #[test]
-    fn all_engines_agree(q in residues(60), s in residues(90), sch in blosum_scheme()) {
-        let expected = gotoh_score(&q, &s, &sch);
-        for kind in EngineKind::ALL {
-            let engine = kind.build();
-            prop_assert_eq!(engine.score(&q, &s, &sch), expected, "engine {}", kind);
-        }
     }
 
     #[test]

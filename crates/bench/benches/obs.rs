@@ -8,8 +8,8 @@
 //! records the medians to `BENCH_obs.json` at the workspace root so
 //! later PRs can diff the overhead.
 //!
-//! A second section times a *realistic CPU job* (striped score_many
-//! over a small database chunk) with the profiler off and on, and
+//! A second section times a *realistic CPU job* (the tiered scoring
+//! pipeline over a small database chunk) with the profiler off and on, and
 //! records the wall-time overhead ratio to `BENCH_profile.json` — the
 //! `--profile` acceptance budget is ≤ 2% over an unprofiled job.
 //!
@@ -19,7 +19,7 @@
 //! gate on.
 
 use std::time::Instant;
-use swdual_align::engine::{AlignEngine, PhaseTimings, StripedEngine};
+use swdual_align::{tiered_score, ProfileCache, TierStats};
 use swdual_bio::ScoringScheme;
 use swdual_datagen::{synthetic_database, LengthModel};
 use swdual_obs::metrics::Metrics;
@@ -50,23 +50,27 @@ fn per_job(obs: &Obs, metrics: &Metrics, worker_id: usize, task_id: usize) {
 }
 
 /// Mirror of the CPU worker's per-job path with profiling hooks (see
-/// `swdual_runtime::worker`): phased scoring when the profiler is on,
-/// the task span, then the phase spans that subdivide it.
+/// `swdual_runtime::worker`): a timed profile-cache lookup and tiered
+/// scoring loop, the task span, then (profiler on) the phase spans that
+/// subdivide it.
 fn profiled_job(
     obs: &Obs,
-    engine: &StripedEngine,
+    cache: &ProfileCache,
     query: &[u8],
     subjects: &[&[u8]],
     scheme: &ScoringScheme,
     task_id: usize,
 ) -> i32 {
     let wall_start = obs.now();
-    let (scores, timings) = if obs.is_profiling() {
-        let (scores, timings) = engine.score_many_phased(query, subjects, scheme);
-        (scores, Some(timings))
-    } else {
-        (engine.score_many(query, subjects, scheme), None)
-    };
+    let start = Instant::now();
+    let profiles = cache.get_or_build(query, &scheme.matrix);
+    let profile_build = start.elapsed().as_secs_f64();
+    let mut stats = TierStats::default();
+    let scores: Vec<i32> = subjects
+        .iter()
+        .map(|s| tiered_score(&profiles, s, scheme, &mut stats))
+        .collect();
+    let dp_inner = start.elapsed().as_secs_f64() - profile_build;
     let wall_end = obs.now();
     if obs.is_enabled() {
         obs.span(
@@ -78,17 +82,11 @@ fn profiled_job(
             &[("task", task_id as f64)],
         );
     }
-    if let Some(PhaseTimings {
-        profile_build,
-        dp_inner,
-        traceback,
-    }) = timings
-    {
+    if obs.is_profiling() {
         let mut at = wall_start;
         for (name, dur) in [
             ("phase_profile_build", profile_build),
             ("phase_dp_inner", dp_inner),
-            ("phase_traceback", traceback),
         ] {
             if dur <= 0.0 {
                 continue;
@@ -270,7 +268,7 @@ fn main() {
 
     // ---- profiler overhead on a realistic job ----
     //
-    // A striped score_many over a 32-sequence chunk, the shape of one
+    // A tiered scoring pass over a 32-sequence chunk, the shape of one
     // CPU worker job. Three configurations: no observability at all,
     // tracing without the profiler, and tracing with the profiler.
     // The acceptance budget is profiling ≤ 2% over the unprofiled job.
@@ -279,7 +277,7 @@ fn main() {
     let chunk: Vec<&[u8]> = db.iter().map(|s| s.residues.as_slice()).collect();
     let query = db.get(0).expect("non-empty db").residues.clone();
     let scheme = ScoringScheme::protein_default();
-    let engine = StripedEngine;
+    let cache = ProfileCache::default();
 
     let mut profile_results: Vec<(&str, f64)> = Vec::new();
     let mut job_bench = |name: &'static str, obs: Obs, profiling: bool| {
@@ -287,7 +285,7 @@ fn main() {
         let mut task = 0usize;
         let ns = measure(job_samples, job_iters, || {
             task = task.wrapping_add(1);
-            std::hint::black_box(profiled_job(&obs, &engine, &query, &chunk, &scheme, task));
+            std::hint::black_box(profiled_job(&obs, &cache, &query, &chunk, &scheme, task));
         });
         println!("profile_overhead/{name}  median {ns:.1} ns/op");
         profile_results.push((name, ns));

@@ -50,7 +50,7 @@ fn experiments_markdown() -> String {
     out.push_str(&exec.report.to_markdown());
     out.push_str(&format!(
         "Reduced-scale execution: {} database sequences, {} cells per search; \
-         cross-engine score agreement: **{}**.\n\n",
+         oracle and worker-mix score agreement: **{}**.\n\n",
         exec.db_sequences,
         exec.cells,
         if exec.scores_agree { "yes" } else { "NO" }
@@ -91,7 +91,7 @@ fn main() {
             let out = execute_reduced(ExecuteConfig::default());
             print!("{}", out.report.to_text());
             println!(
-                "scores agree across engines and worker mixes: {}",
+                "scores agree with the scalar oracle and across worker mixes: {}",
                 out.scores_agree
             );
             // Optional observability exports from one observed run.
@@ -185,7 +185,7 @@ fn main() {
             let out = execute_reduced(ExecuteConfig::default());
             print!("{}", out.report.to_text());
             println!(
-                "scores agree across engines and worker mixes: {}",
+                "scores agree with the scalar oracle and across worker mixes: {}",
                 out.scores_agree
             );
         }

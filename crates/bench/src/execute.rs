@@ -4,12 +4,12 @@
 //! this module proves the machinery: it generates a scaled-down
 //! synthetic UniProt, runs the actual master-slave runtime with real
 //! kernels (CPU workers) and the simulated device (GPU workers), checks
-//! that every engine agrees on every score, and reports real wall-clock
-//! GCUPS for this host.
+//! the tiered scoring pipeline against the scalar Gotoh oracle and hits
+//! across worker mixes, and reports real wall-clock GCUPS for this host.
 
 use crate::render::{Report, Row};
-use swdual_align::engine::EngineKind;
 use swdual_align::scalar::gotoh_score;
+use swdual_align::{tiered_score, QueryProfiles, TierStats};
 use swdual_bio::ScoringScheme;
 use swdual_core::SearchBuilder;
 use swdual_datagen::{queries_from_database, scaled_database, MutationProfile};
@@ -43,7 +43,8 @@ impl Default for ExecuteConfig {
 pub struct ExecuteOutcome {
     /// One row per worker configuration.
     pub report: Report,
-    /// Whether every engine agreed on every score.
+    /// Whether the tiered pipeline matched the scalar oracle on the
+    /// sample and every worker mix returned the same hits.
     pub scores_agree: bool,
     /// Database sequences generated.
     pub db_sequences: usize,
@@ -66,23 +67,16 @@ pub fn execute_reduced(config: ExecuteConfig) -> ExecuteOutcome {
     let scheme = ScoringScheme::protein_default();
     let cells = queries.total_residues() * database.total_residues();
 
-    // Cross-engine agreement on a sample of pairs (all engines on the
-    // first query vs first 32 database sequences).
+    // Tiered pipeline vs the scalar oracle on a sample of pairs (the
+    // first query vs the first 32 database sequences).
     let mut scores_agree = true;
     if let Some(q) = queries.get(0) {
-        let expected: Vec<i32> = database
-            .iter()
-            .take(32)
-            .map(|d| gotoh_score(q.codes(), d.codes(), &scheme))
-            .collect();
-        for kind in EngineKind::ALL {
-            let engine = kind.build();
-            let refs: Vec<&[u8]> = database.iter().take(32).map(|s| s.codes()).collect();
-            let got = engine.score_many(q.codes(), &refs, &scheme);
-            if got != expected {
-                scores_agree = false;
-            }
-        }
+        let profiles = QueryProfiles::build(q.codes(), &scheme.matrix);
+        let mut stats = TierStats::default();
+        scores_agree = database.iter().take(32).all(|d| {
+            tiered_score(&profiles, d.codes(), &scheme, &mut stats)
+                == gotoh_score(q.codes(), d.codes(), &scheme)
+        });
     }
 
     // Real runtime across worker mixes.

@@ -5,8 +5,9 @@
 //! * [`tables`] — regenerates every evaluation table and figure of the
 //!   paper on the calibrated virtual-time platform model.
 //! * [`execute`] — reduced-scale *real* execution: the master-slave
-//!   runtime with real kernels on a synthetic database, checking score
-//!   agreement across engines and reporting real GCUPS.
+//!   runtime with real kernels on a synthetic database, checking scores
+//!   against the scalar oracle and across worker mixes, and reporting
+//!   real GCUPS.
 //! * [`ablation`] — ablation studies for the design choices: greedy vs
 //!   DP knapsack, allocation-policy comparison, binary-search iteration
 //!   count.

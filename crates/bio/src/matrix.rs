@@ -106,8 +106,7 @@ impl Matrix {
     }
 
     /// One full row of the table (all scores against residue code `a`).
-    /// The striped and inter-sequence kernels build query profiles from
-    /// rows.
+    /// The scalar kernels read one row per query residue.
     #[inline]
     pub fn row(&self, a: u8) -> &[i32] {
         &self.scores[a as usize * self.size..(a as usize + 1) * self.size]

@@ -13,14 +13,15 @@
 //! * Padded cells are charged at the query-length-dependent effective
 //!   rate of [`DeviceSpec::effective_gcups`], plus a fixed kernel launch
 //!   latency.
-//! * Scores themselves are computed exactly with the inter-sequence
-//!   kernel of `swdual-align` (the algorithmic core CUDASW++'s SIMT
-//!   kernel implements per thread).
+//! * Scores themselves are computed exactly on the host through the
+//!   same `swdual-align` path the CPU workers use ([`QueryProfiles`] +
+//!   [`tiered_score`]). Device time is modelled from lengths alone, so
+//!   how the host computes a score never touches the virtual clock.
 
 use crate::memory::{Allocation, DeviceMemory, MemoryError};
 use crate::spec::DeviceSpec;
 use serde::{Deserialize, Serialize};
-use swdual_align::interseq;
+use swdual_align::{tiered_score, QueryProfiles, TierStats};
 use swdual_bio::seq::SequenceSet;
 use swdual_bio::ScoringScheme;
 use swdual_obs::{Obs, Track};
@@ -487,14 +488,13 @@ impl GpuDevice {
         scheme: &ScoringScheme,
     ) -> KernelResult {
         let wall_start = self.obs.now();
-        // Exact scores via the inter-sequence kernel (device order).
-        let refs: Vec<&[u8]> = db.subjects.iter().map(|s| s.as_slice()).collect();
-        let device_scores = interseq::interseq_search(query, &refs, scheme);
-
-        // Undo the residency permutation.
+        // Exact scores through the tiered pipeline, each written straight
+        // into its original-order slot (undoing the residency order).
+        let profiles = QueryProfiles::build(query, &scheme.matrix);
+        let mut tiers = TierStats::default();
         let mut scores = vec![0i32; db.subjects.len()];
-        for (device_pos, &orig) in db.original_index.iter().enumerate() {
-            scores[orig] = device_scores[device_pos];
+        for (subject, &orig) in db.subjects.iter().zip(&db.original_index) {
+            scores[orig] = tiered_score(&profiles, subject, scheme, &mut tiers);
         }
 
         // Timing model.

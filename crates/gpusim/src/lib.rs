@@ -6,8 +6,11 @@
 //! properties the SWDUAL scheduler actually consumes:
 //!
 //! 1. **Correct results** — the simulated kernel really computes
-//!    Smith-Waterman scores (via the `swdual-align` kernels), so the
-//!    whole pipeline remains end-to-end verifiable.
+//!    Smith-Waterman scores, through the same `swdual-align` tiered
+//!    pipeline (`QueryProfiles` + `tiered_score`) the CPU workers run,
+//!    so the whole pipeline remains end-to-end verifiable. Device time
+//!    is modelled from sequence lengths only, so the host scoring path
+//!    does not affect the simulation's fidelity.
 //! 2. **Faithful timing structure** — task processing times on the
 //!    device come from a calibrated performance model with the same
 //!    shape as the real hardware: throughput that saturates with query

@@ -2,9 +2,10 @@
 //!
 //! A worker registers with the master, acquires the shared sequences
 //! (paper Fig. 6: "Acquire sequences"), then loops: receive a task,
-//! execute it with its engine, send the result. CPU workers run an
-//! alignment kernel in-thread; GPU workers drive a simulated device
-//! whose virtual clock supplies the modelled task time.
+//! execute it, send the result. CPU workers score in-thread through the
+//! tiered pipeline (`QueryProfiles` + `tiered_score`); GPU workers drive
+//! a simulated device that scores through the same pipeline and whose
+//! virtual clock supplies the modelled task time.
 //!
 //! Workers honour an optional [`WorkerFault`] from the run's
 //! [`FaultPlan`](crate::faults::FaultPlan): crashing before
@@ -19,21 +20,17 @@ use crate::messages::{FailureReason, Job, JobResult, WorkerFailure, WorkerMsg};
 use crossbeam::channel::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
-use swdual_align::engine::{EngineKind, PhaseTimings};
-use swdual_align::{ProfileCache, TierStats};
+use swdual_align::{tiered_score, ProfileCache, TierStats};
 use swdual_bio::seq::SequenceSet;
 use swdual_bio::ScoringScheme;
 use swdual_gpusim::{DeviceClass, DeviceSpec, GpuDevice};
 use swdual_obs::{Obs, Track};
 
-/// Worker species: which engine a worker actually runs.
+/// Worker species.
 #[derive(Debug, Clone)]
 pub enum WorkerKind {
-    /// A CPU worker running the given kernel on one thread.
-    Cpu {
-        /// Which alignment kernel this worker runs.
-        engine: EngineKind,
-    },
+    /// A CPU worker scoring on one thread through the tiered pipeline.
+    Cpu,
     /// A GPU worker driving a simulated device.
     Gpu {
         /// Device description (calibrated Tesla C2050 by default).
@@ -51,7 +48,7 @@ pub enum WorkerKind {
 /// re-optimization; the default `1.0` is the honest calibration.
 #[derive(Debug, Clone)]
 pub struct WorkerSpec {
-    /// Species and engine configuration.
+    /// Species (and device, for GPU workers).
     pub kind: WorkerKind,
     /// Declared-speed multiplier on the registered rate model (1.0 =
     /// honest).
@@ -59,14 +56,6 @@ pub struct WorkerSpec {
 }
 
 impl WorkerSpec {
-    /// A CPU worker with the given kernel.
-    pub fn cpu(engine: EngineKind) -> WorkerSpec {
-        WorkerSpec {
-            kind: WorkerKind::Cpu { engine },
-            prior_scale: 1.0,
-        }
-    }
-
     /// A GPU worker driving the given simulated device.
     pub fn gpu(device: DeviceSpec) -> WorkerSpec {
         WorkerSpec {
@@ -75,12 +64,14 @@ impl WorkerSpec {
         }
     }
 
-    /// The paper's CPU worker: a SWIPE-class vector kernel. Since the
-    /// kernel-dispatch sprint this is the striped engine's tiered
-    /// pipeline (byte lanes → 16-bit lanes → scalar) on the fastest
-    /// SIMD backend the host supports.
+    /// The paper's CPU worker: a SWIPE-class vector kernel, here the
+    /// striped tiered pipeline (byte lanes → 16-bit lanes → scalar) on
+    /// the fastest SIMD backend the host supports.
     pub fn cpu_default() -> WorkerSpec {
-        WorkerSpec::cpu(EngineKind::Striped)
+        WorkerSpec {
+            kind: WorkerKind::Cpu,
+            prior_scale: 1.0,
+        }
     }
 
     /// The paper's GPU worker: a CUDASW++-class device.
@@ -107,7 +98,7 @@ impl WorkerSpec {
     /// Human-readable description for stats.
     pub fn description(&self) -> String {
         match &self.kind {
-            WorkerKind::Cpu { engine } => format!("CPU({engine})"),
+            WorkerKind::Cpu => "CPU(striped)".to_string(),
             WorkerKind::Gpu { device } => format!("GPU({})", device.name),
         }
     }
@@ -120,7 +111,7 @@ impl WorkerSpec {
     /// The zoo class of this worker's device, when it has one.
     pub fn device_class_of(&self) -> Option<DeviceClass> {
         match &self.kind {
-            WorkerKind::Cpu { .. } => None,
+            WorkerKind::Cpu => None,
             WorkerKind::Gpu { device } => DeviceClass::of_spec(device),
         }
     }
@@ -131,7 +122,7 @@ impl WorkerSpec {
     /// overhead down, so a scaled worker looks uniformly faster.
     pub fn rate_model(&self) -> WorkerRateModel {
         let honest = match &self.kind {
-            WorkerKind::Cpu { .. } => WorkerRateModel::cpu_swipe(),
+            WorkerKind::Cpu => WorkerRateModel::cpu_swipe(),
             WorkerKind::Gpu { device } => WorkerRateModel::for_device(device),
         };
         WorkerRateModel {
@@ -223,15 +214,15 @@ fn record_job_span(
     }
 }
 
-/// Record the host phase spans of one CPU job (profile build, DP inner
-/// loop, traceback) under its task span.
+/// Record the host phase spans of one CPU job (profile build, then the
+/// DP inner loop) under its task span.
 ///
 /// Attribution rules: phase spans tile the job sequentially on both
-/// clocks. Wall durations are the measured [`PhaseTimings`]; modelled
-/// durations split the job's modelled time in the same proportions as
-/// the measured wall phases (the rate model prices whole tasks, not
-/// phases). When the job ran too fast to measure (wall total ≈ 0),
-/// everything modelled is attributed to the DP inner loop.
+/// clocks. Wall durations are the measured `(profile_build, dp_inner)`
+/// seconds; modelled durations split the job's modelled time in the
+/// same proportions as the measured wall phases (the rate model prices
+/// whole tasks, not phases). When the job ran too fast to measure (wall
+/// total ≈ 0), everything modelled is attributed to the DP inner loop.
 #[allow(clippy::too_many_arguments)]
 fn record_phase_spans(
     obs: &Obs,
@@ -240,13 +231,12 @@ fn record_phase_spans(
     wall_start: f64,
     virt_start: f64,
     modelled: f64,
-    timings: &PhaseTimings,
+    (profile_build, dp_inner): (f64, f64),
 ) {
-    let wall_total = timings.total();
+    let wall_total = profile_build + dp_inner;
     let phases = [
-        ("phase_profile_build", timings.profile_build),
-        ("phase_dp_inner", timings.dp_inner),
-        ("phase_traceback", timings.traceback),
+        ("phase_profile_build", profile_build),
+        ("phase_dp_inner", dp_inner),
     ];
     let mut wall_at = wall_start;
     let mut virt_at = virt_start;
@@ -412,9 +402,7 @@ pub fn worker_loop(
     let knobs = FaultKnobs::from(ctx.fault);
     let mut jobs_done = 0usize;
     match spec.kind {
-        WorkerKind::Cpu { engine } => {
-            let engine = engine.build();
-            let db_refs: Vec<&[u8]> = ctx.database.iter().map(|s| s.codes()).collect();
+        WorkerKind::Cpu => {
             let model = WorkerRateModel::cpu_swipe();
             // Per-worker profile cache: jobs that share a query (chunked
             // databases, repeated searches) reuse the built profiles, so
@@ -431,17 +419,17 @@ pub fn worker_loop(
                     .expect("query index in range");
                 let wall_start = ctx.obs.now();
                 let start = Instant::now();
-                // The cached path is the default: it serves profiles
-                // from the per-worker cache and reports phase timings
-                // plus tier-resolution counts at the cost of two clock
-                // reads per job. Scores are identical to `score_many`.
-                let (scores, timings, tier_stats) = engine.score_many_cached(
-                    query.codes(),
-                    &db_refs,
-                    &ctx.scheme,
-                    Some(&profile_cache),
-                );
-                let timings = ctx.obs.is_profiling().then_some(timings);
+                // Profiles come from the per-worker cache; the two steps
+                // are timed for the profiler's phase spans at the cost of
+                // two clock reads per job.
+                let profiles = profile_cache.get_or_build(query.codes(), &ctx.scheme.matrix);
+                let profile_build = start.elapsed().as_secs_f64();
+                let mut tier_stats = TierStats::default();
+                let scores: Vec<i32> = ctx
+                    .database
+                    .iter()
+                    .map(|s| tiered_score(&profiles, s.codes(), &ctx.scheme, &mut tier_stats))
+                    .collect();
                 let wall = start.elapsed().as_secs_f64();
                 let cells = query.len() as u64 * ctx.database.total_residues();
                 let modelled = model.task_seconds(query.len(), ctx.database.total_residues())
@@ -456,7 +444,7 @@ pub fn worker_loop(
                     modelled,
                     cells,
                 );
-                if let Some(timings) = &timings {
+                if ctx.obs.is_profiling() {
                     record_phase_spans(
                         &ctx.obs,
                         ctx.worker_id,
@@ -464,7 +452,7 @@ pub fn worker_loop(
                         wall_start,
                         virt_clock,
                         modelled,
-                        timings,
+                        (profile_build, wall - profile_build),
                     );
                 }
                 record_kernel_metrics(&ctx.obs, ctx.worker_id, &tier_stats, &profile_cache);
@@ -738,17 +726,6 @@ mod tests {
     }
 
     #[test]
-    fn all_cpu_engines_work_as_workers() {
-        for engine in EngineKind::ALL {
-            let results = run_one(WorkerSpec::cpu(engine));
-            assert_eq!(results.len(), 2, "engine {engine}");
-            for r in &results {
-                assert_eq!(r.scores, expected_scores(r.task_id), "engine {engine}");
-            }
-        }
-    }
-
-    #[test]
     fn notified_crash_reports_its_in_flight_task() {
         let msgs = run_msgs(
             WorkerSpec::cpu_default(),
@@ -848,7 +825,7 @@ mod tests {
         };
         job_tx.send(Job::new(0, 0)).unwrap();
         drop(job_tx);
-        worker_loop(WorkerSpec::cpu(EngineKind::Striped), ctx, job_rx, res_tx);
+        worker_loop(WorkerSpec::cpu_default(), ctx, job_rx, res_tx);
         let results: Vec<WorkerMsg> = res_rx.iter().collect();
         assert_eq!(results.len(), 1);
 

@@ -2,7 +2,7 @@
 //!
 //! Generates a synthetic protein database (a scaled-down UniProt),
 //! derives homologous queries from it, and runs the master-slave
-//! runtime with CPU workers (SWIPE-style inter-sequence kernel) and
+//! runtime with CPU workers (the tiered striped SIMD pipeline) and
 //! simulated Tesla C2050 GPU workers, allocated by the
 //! dual-approximation scheduler. Prints the ranked hits, the per-worker
 //! accounting and the Gantt chart of the static schedule.

@@ -10,8 +10,7 @@
 //!
 //! Run with: `cargo run --release --example translated_search`
 
-use swdual_repro::align::engine::EngineKind;
-use swdual_repro::align::par_search::par_score_many;
+use swdual_repro::align::{tiered_score, QueryProfiles, TierStats};
 use swdual_repro::bio::translate::{reverse_complement, six_frame};
 use swdual_repro::bio::{Alphabet, ScoringScheme, Sequence};
 use swdual_repro::datagen::{synthetic_database, LengthModel};
@@ -72,11 +71,15 @@ fn main() {
 
     // Six-frame translate and search each frame.
     let scheme = ScoringScheme::protein_default();
-    let refs: Vec<&[u8]> = database.iter().map(|s| s.codes()).collect();
     let frames = six_frame(&contig).expect("nucleotide input");
     let mut best: (i32, String, usize) = (i32::MIN, String::new(), 0);
     for frame in &frames {
-        let scores = par_score_many(frame.codes(), &refs, &scheme, EngineKind::Striped);
+        let profiles = QueryProfiles::build(frame.codes(), &scheme.matrix);
+        let mut stats = TierStats::default();
+        let scores: Vec<i32> = database
+            .iter()
+            .map(|s| tiered_score(&profiles, s.codes(), &scheme, &mut stats))
+            .collect();
         let (arg, &max) = scores.iter().enumerate().max_by_key(|&(_, s)| *s).unwrap();
         println!(
             "{:<16} best hit {} score {}",
