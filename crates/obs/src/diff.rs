@@ -552,7 +552,11 @@ fn fold_profiles(b: &mut DiffBuilder<'_>, base: &Profile, head: &Profile) -> Vec
         let (bw, bm) = phase_total(base, name);
         let (hw, hm) = phase_total(head, name);
         b.push(format!("phase.{name}.wall"), bw, hw, true, Wall);
-        b.push(format!("phase.{name}.modelled"), bm, hm, true, Exact);
+        // The worker splits each CPU job's modelled seconds in
+        // proportion to its measured wall phases, so this split moves
+        // with host noise; the modelled totals stay exact through
+        // `worker.N.busy_modelled` and the `device.*` metrics.
+        b.push(format!("phase.{name}.modelled"), bm, hm, true, Wall);
     }
 
     // Per-device busy-time accounting — all on the device's virtual
@@ -961,6 +965,76 @@ mod tests {
             diff_journals(&bj, &hj, &DiffOptions::default()).expect("journals diff");
         let from_obs = diff_obs(&base, &head, &DiffOptions::default());
         assert_eq!(from_journals.to_json(), from_obs.to_json());
+    }
+
+    /// A profiled run: one CPU job whose 2.0 modelled seconds are split
+    /// `build` / `2.0 - build` between its phases, and one device kernel
+    /// of `kernel` modelled seconds.
+    fn profiled_events(build: f64, kernel: f64) -> Vec<Event> {
+        let obs = Obs::enabled();
+        obs.set_profiling(true);
+        let job = [("task", 0.0), ("cells", 1.0e6)];
+        obs.span(Track::Worker(0), "task-0", 0.0, 1.0, Some((0.0, 2.0)), &job);
+        let task = [("task", 0.0)];
+        let build_span = Some((0.0, build));
+        let dp_span = Some((build, 2.0 - build));
+        obs.span(
+            Track::Worker(0),
+            "phase_profile_build",
+            0.0,
+            0.2,
+            build_span,
+            &task,
+        );
+        obs.span(Track::Worker(0), "phase_dp_inner", 0.2, 0.8, dp_span, &task);
+        let kernel_args = [("task", 1.0), ("useful_cells", 4.0e9), ("query_len", 300.0)];
+        obs.span(
+            Track::Device(1),
+            "kernel",
+            0.0,
+            0.02,
+            Some((0.0, kernel)),
+            &kernel_args,
+        );
+        obs.span(
+            Track::Worker(1),
+            "task-1",
+            0.0,
+            0.03,
+            Some((0.0, kernel)),
+            &task,
+        );
+        obs.events()
+    }
+
+    #[test]
+    fn cpu_phase_split_is_on_the_wall_lane_and_device_time_stays_exact() {
+        let opts = DiffOptions {
+            include_profile: true,
+            ..DiffOptions::default()
+        };
+        let base = profiled_events(0.5, 1.0);
+        // Same modelled job total, split differently between phases:
+        // what two runs of one binary produce.
+        let resplit = diff_events(&base, &profiled_events(0.52, 1.0), &opts);
+        let phase = |r: &DiffReport| {
+            r.metrics
+                .iter()
+                .find(|m| m.name == "phase.profile_build.modelled")
+                .map(|m| m.tolerance)
+        };
+        assert_eq!(phase(&resplit), Some(Tolerance::Wall));
+        assert!(
+            !resplit.has_regressions(true),
+            "{:?}",
+            resplit.regressions(true)
+        );
+        // A slower device kernel is still an exact-lane regression.
+        let slower = diff_events(&base, &profiled_events(0.5, 1.001), &opts);
+        assert!(slower
+            .regressions(true)
+            .iter()
+            .any(|n| n == "device.1.kernel_seconds"));
     }
 
     #[test]

@@ -19,6 +19,14 @@
 //! dispatched per worker) and dynamic **self-scheduling** (a shared
 //! task queue workers drain — the baseline the paper contrasts with).
 //!
+//! The master is split in two. [`Master`] is the merge loop as a
+//! thread-free state machine: it allocates and dispatches through an
+//! [`Outbox`], then advances only on completions, failure notices and
+//! clock ticks, so any interleaving can be replayed deterministically in
+//! tests. [`try_run_search`] is the driver that spawns the worker
+//! threads, collects registrations and feeds the master from its
+//! channels.
+//!
 //! Timing is reported on two clocks: the real wall clock of this
 //! process, and the *modelled* clock in which GPU workers run at Tesla
 //! speed. The modelled clock is what corresponds to the paper's tables;
@@ -49,7 +57,7 @@ pub mod worker;
 pub use estimator::{WorkerRateModel, COLD_HOST_CELLS_PER_SEC};
 pub use faults::{FaultPlan, WorkerFault};
 pub use master::{
-    run_search, try_run_search, AllocationPolicy, ReoptConfig, RuntimeConfig, SearchError,
+    try_run_search, AllocationPolicy, Master, Outbox, ReoptConfig, RuntimeConfig, SearchError,
     SearchOutcome,
 };
 pub use messages::{FailureReason, Hit, QueryHits, WorkerFailure, WorkerMsg, WorkerStats};

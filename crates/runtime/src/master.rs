@@ -1,6 +1,17 @@
 //! The master: task generation, allocation, dispatch and result
 //! merging (paper Figure 6, left column) — plus fault tolerance.
 //!
+//! Two parts. [`Master`] is the merge loop as a thread-free state
+//! machine: built from the workers' registrations, it plans and
+//! dispatches, then advances only through [`Master::on_completed`],
+//! [`Master::on_failed`] and [`Master::on_tick`], each handed the
+//! driver's clock. It sends jobs through an [`Outbox`], so tests can
+//! replay any interleaving of results, deaths and deadlines without
+//! threads or sleeps. [`try_run_search`] is the driver: it spawns the
+//! worker threads, collects their registrations, implements the outbox
+//! over crossbeam channels and feeds the master worker messages and
+//! `recv_timeout` ticks until it finishes.
+//!
 //! The fault-tolerant merge loop guarantees [`try_run_search`] always
 //! returns: every worker either answers, notifies its death, or blows a
 //! deadline derived from its own declared rate model; orphaned tasks
@@ -14,17 +25,20 @@
 //! worker, a late straggler, a re-dispatched copy — produces the same
 //! score vector; the master dedups by task id and keeps the first.
 
-use crate::estimator::{job_deadline_seconds, COLD_HOST_CELLS_PER_SEC};
+use crate::estimator::{job_deadline_seconds, WorkerRateModel, COLD_HOST_CELLS_PER_SEC};
 use crate::faults::FaultPlan;
 use crate::messages::{
-    top_k_hits, FailureReason, Job, JobResult, QueryHits, Registration, WorkerMsg, WorkerStats,
+    top_k_hits, FailureReason, Job, JobResult, QueryHits, Registration, WorkerFailure, WorkerMsg,
+    WorkerStats,
 };
 use crate::worker::{WorkerContext, WorkerSpec};
 use crossbeam::channel::{self, RecvTimeoutError};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use swdual_bio::seq::SequenceSet;
 use swdual_bio::ScoringScheme;
+use swdual_obs::metrics::Metrics;
 use swdual_obs::{Obs, Track};
 use swdual_sched::binsearch::{dual_approx_schedule_observed, BinarySearchConfig};
 use swdual_sched::dual::KnapsackMethod;
@@ -41,14 +55,6 @@ pub enum AllocationPolicy {
     DualApprox(KnapsackMethod),
     /// Dynamic self-scheduling: all workers drain one shared queue.
     SelfScheduling,
-    /// Iterative allocation (paper §IV's "iteratively until all tasks
-    /// are executed"): the task list is released in `rounds` batches,
-    /// each scheduled by the dual approximation on top of the loads the
-    /// previous batches left.
-    MultiRound {
-        /// Number of release batches.
-        rounds: usize,
-    },
 }
 
 /// Online re-optimization knobs.
@@ -261,21 +267,24 @@ const DEATH_DISPATCH: f64 = 3.0;
 /// trigger) the number of re-plans a pathological worker can cause.
 const MAX_REOPT_FACTOR: f64 = 32.0;
 
+/// Deadline of a worker with nothing in flight.
+const NEVER: Duration = Duration::MAX;
+
 /// Build the scheduler instance from the rate models the workers
 /// declared at registration.
 fn build_tasks(
-    queries: &SequenceSet,
+    query_lens: &[usize],
     db_residues: u64,
-    cpu_model: Option<crate::estimator::WorkerRateModel>,
-    gpu_model: Option<crate::estimator::WorkerRateModel>,
+    cpu_model: Option<WorkerRateModel>,
+    gpu_model: Option<WorkerRateModel>,
 ) -> TaskSet {
     TaskSet::new(
-        queries
+        query_lens
             .iter()
             .enumerate()
-            .map(|(id, q)| {
-                let cpu = cpu_model.map(|m| m.task_seconds(q.len(), db_residues));
-                let gpu = gpu_model.map(|m| m.task_seconds(q.len(), db_residues));
+            .map(|(id, &len)| {
+                let cpu = cpu_model.map(|m| m.task_seconds(len, db_residues));
+                let gpu = gpu_model.map(|m| m.task_seconds(len, db_residues));
                 // With a species absent, derive a prohibitive but
                 // finite time from the species that is present.
                 let (p_cpu, p_gpu) = match (cpu, gpu) {
@@ -290,241 +299,785 @@ fn build_tasks(
     )
 }
 
-/// Causal-lineage state of the dispatch pipeline: the global dispatch
-/// sequence, the current plan decision epoch (0 = initial schedule,
-/// bumped by every re-optimization round and every fault re-plan), and
-/// the modelled time the master has seen each worker complete so far —
-/// the worker-side virtual clock at hand-off, which the worker echoes
-/// back as the modelled dispatch timestamp of its execution span.
-struct DispatchState {
+/// Journal a master phase (paper Figure 6's left column) that started
+/// at obs wall time `t0` and ends now.
+fn phase_span(obs: &Obs, name: &str, t0: f64, args: &[(&str, f64)]) {
+    obs.span(Track::Master, name, t0, obs.now() - t0, None, args);
+}
+
+/// Where the [`Master`] sends jobs.
+pub trait Outbox {
+    /// Hand `job` to worker `to`, or to the self-scheduling shared
+    /// queue when `to` is `None`. Returns `false` when the receiver is
+    /// gone; the master then declares the worker dead on the spot, so
+    /// its fault events keep their order in the journal.
+    fn send(&mut self, to: Option<usize>, job: Job) -> bool;
+}
+
+/// The threaded driver's outbox: one job channel per worker under the
+/// static policies, one shared channel under self-scheduling.
+struct ChannelOutbox {
+    private: Vec<Option<channel::Sender<Job>>>,
+    shared: channel::Sender<Job>,
+}
+
+impl Outbox for ChannelOutbox {
+    fn send(&mut self, to: Option<usize>, job: Job) -> bool {
+        match to {
+            Some(w) => self.private[w]
+                .as_ref()
+                .is_some_and(|tx| tx.send(job).is_ok()),
+            None => self.shared.send(job).is_ok(),
+        }
+    }
+}
+
+/// The master's merge loop as a thread-free state machine.
+///
+/// [`Master::new`] allocates the tasks over the registered workers and
+/// dispatches the first jobs. After that the master changes only in
+/// [`Master::on_completed`], [`Master::on_failed`] and
+/// [`Master::on_tick`], each given `now`, the driver's clock since the
+/// search started; deadlines are instants on that clock. Static
+/// policies keep a window of one job in flight per worker and hold the
+/// rest in per-worker queues, so everything still queued can be
+/// re-planned when a worker dies or re-optimization fires.
+/// [`Master::finish`] closes the merge phase and returns the outcome.
+pub struct Master<O> {
+    out: O,
+    obs: Obs,
+    metrics: Metrics,
+    tasks: TaskSet,
+    query_lens: Vec<usize>,
+    db_residues: u64,
+    is_gpu: Vec<bool>,
+    /// Self-scheduling: jobs go to the shared queue, the master does
+    /// not know who holds which task.
+    shared: bool,
+    reopt: ReoptConfig,
+    top_k: usize,
+    max_retries: usize,
+    /// Floor and slack of the silent-death deadline, in seconds.
+    floor: f64,
+    slack: f64,
+    schedule: Option<Schedule>,
+    alive: Vec<bool>,
+    queue: Vec<VecDeque<usize>>,
+    in_flight: Vec<Option<usize>>,
+    done: Vec<bool>,
+    retries: Vec<usize>,
+    completed: usize,
+    /// Causal lineage: the global dispatch sequence, the plan decision
+    /// epoch (0 = initial schedule, bumped by every re-optimization
+    /// round and fault re-plan), and the modelled time each worker has
+    /// completed so far — its virtual clock at hand-off, which it echoes
+    /// back on its execution span.
     seq: u64,
     decision: u64,
     virt_done: Vec<f64>,
+    /// The driver's clock at the transition being processed.
+    now: Duration,
+    /// Last completion or failure (self-scheduling stall detection).
+    last_activity: Duration,
+    deadlines: Vec<Duration>,
+    /// Last timeout journaled per worker as `worker_deadline`.
+    published_deadline: Vec<f64>,
+    /// Largest observed wall-seconds per estimated-modelled-second:
+    /// converts modelled estimates into wall deadlines as the run
+    /// calibrates itself.
+    wall_ratio: f64,
+    /// Slowest observed wall-seconds per alignment cell, seeded with the
+    /// cold-host prior. Bounds every deadline from below: the
+    /// modelled-estimate path can be badly miscalibrated, but "no host
+    /// is slower than 10 MCUPS" always holds.
+    secs_per_cell: f64,
+    /// Per-worker maxima of the observed modelled-time/estimate ratio:
+    /// the estimator's miscalibration on the deterministic modelled
+    /// clock, which feeds re-optimization.
+    obs_ratio: Vec<f64>,
+    /// Slowdown factor each worker's *current plan* was drawn with
+    /// (1.0 = the original uniform prior).
+    planned_factor: Vec<f64>,
+    reopt_rounds: usize,
+    /// Top-k hits of each completed task.
+    hits: Vec<Option<QueryHits>>,
+    stats: Vec<WorkerStats>,
+    error: Option<SearchError>,
+    /// Obs wall time the merge phase started.
+    t_merge: f64,
 }
 
-impl DispatchState {
-    fn new(workers: usize) -> DispatchState {
-        DispatchState {
+impl<O: Outbox> Master<O> {
+    /// Allocate `query_lens.len()` tasks (one per query, each against a
+    /// database of `db_residues`) over the workers that registered,
+    /// from the rate models they declared, and dispatch the first jobs
+    /// through `out`. `workers` lists every spawned worker, registered
+    /// or not.
+    pub fn new(
+        workers: &[WorkerSpec],
+        registrations: &[Registration],
+        query_lens: Vec<usize>,
+        db_residues: u64,
+        config: &RuntimeConfig,
+        out: O,
+        now: Duration,
+    ) -> Result<Master<O>, SearchError> {
+        if registrations.is_empty() {
+            return Err(SearchError::NoWorkersRegistered);
+        }
+        let obs = config.obs.clone();
+        let n_workers = workers.len();
+        let n_tasks = query_lens.len();
+        let t_allocate = obs.now();
+        let model = |gpu: bool| {
+            registrations
+                .iter()
+                .find(|r| r.is_gpu == gpu)
+                .map(|r| r.rate_model)
+        };
+        let tasks = build_tasks(&query_lens, db_residues, model(false), model(true));
+        // Journal the rate-model estimates per task: the auditor
+        // reconstructs acceleration ratios (p_cpu/p_gpu) from these to
+        // judge the knapsack's GPU-side ordering.
+        if obs.is_enabled() {
+            for (t, &len) in tasks.iter().zip(&query_lens) {
+                obs.instant(
+                    Track::Master,
+                    "task_model",
+                    &[
+                        ("task", t.id as f64),
+                        ("p_cpu", t.p_cpu),
+                        ("p_gpu", t.p_gpu),
+                        ("query_len", len as f64),
+                        ("cells", len as f64 * db_residues as f64),
+                    ],
+                );
+            }
+        }
+        let mut m = Master {
+            out,
+            metrics: obs.metrics(),
+            obs,
+            tasks,
+            query_lens,
+            db_residues,
+            is_gpu: workers.iter().map(WorkerSpec::is_gpu).collect(),
+            shared: config.policy == AllocationPolicy::SelfScheduling,
+            reopt: config.reopt,
+            top_k: config.top_k,
+            max_retries: config.max_task_retries,
+            floor: config.min_job_timeout.as_secs_f64(),
+            slack: config.job_timeout_slack,
+            schedule: None,
+            alive: (0..n_workers)
+                .map(|w| registrations.iter().any(|r| r.worker_id == w))
+                .collect(),
+            queue: vec![VecDeque::new(); n_workers],
+            in_flight: vec![None; n_workers],
+            done: vec![false; n_tasks],
+            retries: vec![0; n_tasks],
+            completed: 0,
             seq: 0,
             decision: 0,
-            virt_done: vec![0.0; workers],
+            virt_done: vec![0.0; n_workers],
+            now,
+            last_activity: now,
+            deadlines: vec![NEVER; n_workers],
+            published_deadline: vec![0.0; n_workers],
+            wall_ratio: 0.0,
+            secs_per_cell: 1.0 / COLD_HOST_CELLS_PER_SEC,
+            obs_ratio: vec![0.0; n_workers],
+            planned_factor: vec![1.0; n_workers],
+            reopt_rounds: 0,
+            hits: vec![None; n_tasks],
+            stats: workers
+                .iter()
+                .enumerate()
+                .map(|(worker_id, spec)| WorkerStats {
+                    worker_id,
+                    description: spec.description(),
+                    ..WorkerStats::default()
+                })
+                .collect(),
+            error: None,
+            t_merge: 0.0,
+        };
+
+        let live = m.live();
+        let schedule = match config.policy {
+            AllocationPolicy::DualApprox(method) => Some(
+                dual_approx_schedule_observed(
+                    &m.tasks,
+                    &PlatformSpec::new(live.0.len(), live.1.len()),
+                    BinarySearchConfig {
+                        method,
+                        ..BinarySearchConfig::default()
+                    },
+                    &m.obs,
+                )
+                .schedule,
+            ),
+            AllocationPolicy::SelfScheduling => None,
+        };
+        phase_span(&m.obs, "allocate", t_allocate, &[("tasks", n_tasks as f64)]);
+
+        // The planned schedule goes on its own modelled-clock tracks so
+        // exports can overlay plan against actual.
+        let t_dispatch = m.obs.now();
+        let mut orphans = Vec::new();
+        match &schedule {
+            Some(plan) => orphans = m.place(plan, &live, Track::Planned, None),
+            None => {
+                if let Err(e) = m.share(0..n_tasks) {
+                    m.error = Some(e);
+                }
+            }
+        }
+        m.schedule = schedule;
+        phase_span(&m.obs, "dispatch", t_dispatch, &[("tasks", n_tasks as f64)]);
+        m.t_merge = m.obs.now();
+        m.refresh_deadlines();
+        if m.error.is_none() && !orphans.is_empty() {
+            m.recover(orphans);
+        }
+        Ok(m)
+    }
+
+    /// A worker reported a finished task. The first result per task is
+    /// folded into its hits and the worker's stats; later copies (a
+    /// straggler or a re-dispatched twin) are journaled and dropped.
+    pub fn on_completed(&mut self, r: JobResult, now: Duration) {
+        if self.is_finished() {
+            return;
+        }
+        self.now = now;
+        self.last_activity = now;
+        let (w, t) = (r.worker_id, r.task_id);
+        if self.in_flight[w] == Some(t) {
+            self.in_flight[w] = None;
+        }
+        self.queue[w].retain(|&q| q != t);
+        // The virtual timestamp the worker's *next* dispatch carries.
+        self.virt_done[w] += r.modelled_seconds.max(0.0);
+        // Calibrate against the *estimator's* modelled time — the
+        // quantity deadlines are computed from. The worker-reported
+        // modelled clock is a different animal (GPU workers report
+        // kernel-only virtual seconds), but within one species the
+        // relative spread of modelled/estimate ratios is exactly the
+        // slowdown skew re-optimization acts on.
+        let est = self.estimate(w, t);
+        if est > 0.0 {
+            self.wall_ratio = self.wall_ratio.max(r.wall_seconds / est);
+            if r.modelled_seconds > 0.0 {
+                self.obs_ratio[w] = self.obs_ratio[w].max(r.modelled_seconds / est);
+            }
+        }
+        let cells = self.cells(t);
+        if cells > 0.0 {
+            self.secs_per_cell = self.secs_per_cell.max(r.wall_seconds / cells);
+        }
+        let first = !self.done[t];
+        if first {
+            self.done[t] = true;
+            self.completed += 1;
+            let left = (self.done.len() - self.completed) as f64;
+            self.metrics.gauge("queue_depth", &[], left);
+            self.metrics
+                .gauge("tasks_completed", &[], self.completed as f64);
+        } else {
+            // Scores are identical by construction; keep the first.
+            self.obs.instant(
+                Track::Faults,
+                "duplicate_result",
+                &[("task", t as f64), ("worker", w as f64)],
+            );
+            self.obs.counter("duplicate_results", 1.0);
+        }
+        self.maybe_reoptimize();
+        if self.error.is_none() && !self.shared {
+            let stranded = self.feed(w);
+            if !stranded.is_empty() {
+                self.recover(stranded);
+            }
+        }
+        if self.alive[w] {
+            self.deadlines[w] = match self.in_flight[w] {
+                Some(_) => now + self.timeout(w),
+                None => NEVER,
+            };
+        }
+        // Folded after the feed, so the worker never waits on it.
+        if first {
+            self.hits[t] = Some(top_k_hits(t, &r.scores, self.top_k));
+            let s = &mut self.stats[w];
+            s.tasks += 1;
+            s.busy_wall += r.wall_seconds;
+            s.busy_modelled += r.modelled_seconds;
+            s.cells += r.cells;
         }
     }
 
-    /// Stamp lineage onto a job bound for worker `w` (or the shared
-    /// queue, `w = None`).
-    fn stamp(&mut self, t: usize, w: Option<usize>, obs: &Obs) -> Job {
+    /// A worker announced its death: re-home whatever it held.
+    pub fn on_failed(&mut self, f: WorkerFailure, now: Duration) {
+        if self.is_finished() {
+            return;
+        }
+        self.now = now;
+        self.last_activity = now;
+        if self.alive[f.worker_id] {
+            let reason = match f.reason {
+                FailureReason::Crash => DEATH_CRASH,
+                FailureReason::DeviceFault { .. } => DEATH_DEVICE,
+            };
+            let mut orphans = self.kill(f.worker_id, reason);
+            orphans.extend(f.in_flight);
+            self.recover(orphans);
+        }
+    }
+
+    /// Nothing arrived for a while: declare every worker whose deadline
+    /// passed dead (static policies), or, under self-scheduling, re-queue
+    /// everything not done once the whole platform has stalled.
+    pub fn on_tick(&mut self, now: Duration) {
+        if self.is_finished() {
+            return;
+        }
+        self.now = now;
+        if self.shared {
+            // The master cannot know which worker holds which task;
+            // duplicates of the re-queued tasks are deduped on merge.
+            let undone: Vec<usize> = (0..self.done.len()).filter(|&t| !self.done[t]).collect();
+            let (cpu, gpu) = self.live();
+            let on = |live: &[usize], p: f64| if live.is_empty() { 0.0 } else { p };
+            let est = undone
+                .iter()
+                .map(|&t| self.tasks.tasks()[t])
+                .map(|task| on(&cpu, task.p_cpu).max(on(&gpu, task.p_gpu)))
+                .fold(0.0, f64::max);
+            let max_cells = undone.iter().map(|&t| self.cells(t)).fold(0.0, f64::max);
+            if now.saturating_sub(self.last_activity) >= self.deadline(est, max_cells) {
+                self.obs.instant(
+                    Track::Faults,
+                    "stall_redispatch",
+                    &[("outstanding", undone.len() as f64)],
+                );
+                self.recover(undone);
+                self.last_activity = now;
+            }
+        } else {
+            for w in 0..self.alive.len() {
+                if self.error.is_some() {
+                    break;
+                }
+                if self.alive[w] && self.in_flight[w].is_some() && now >= self.deadlines[w] {
+                    let orphans = self.kill(w, DEATH_TIMEOUT);
+                    self.recover(orphans);
+                }
+            }
+        }
+    }
+
+    /// Whether the search is over: every task completed, or an error.
+    pub fn is_finished(&self) -> bool {
+        self.error.is_some() || self.completed == self.done.len()
+    }
+
+    /// Whether the master still counts worker `w` alive.
+    pub fn is_alive(&self, w: usize) -> bool {
+        self.alive[w]
+    }
+
+    /// The task worker `w` is executing, as far as the master knows.
+    pub fn in_flight(&self, w: usize) -> Option<usize> {
+        self.in_flight[w]
+    }
+
+    /// Worker `w`'s master-held queue, head first.
+    pub fn queue(&self, w: usize) -> &VecDeque<usize> {
+        &self.queue[w]
+    }
+
+    /// Close the merge phase and return the outcome (its
+    /// `wall_seconds` is left for the driver to fill in). Finishing
+    /// before every task completed, with no error recorded, means the
+    /// platform went away: [`SearchError::AllWorkersDead`].
+    pub fn finish(self) -> Result<SearchOutcome, SearchError> {
+        let results = self.completed as f64;
+        phase_span(&self.obs, "merge", self.t_merge, &[("results", results)]);
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        if self.completed < self.done.len() {
+            return Err(self.all_dead());
+        }
+        let modelled_makespan = self
+            .stats
+            .iter()
+            .map(|s| s.busy_modelled)
+            .fold(0.0, f64::max);
+        Ok(SearchOutcome {
+            hits: self
+                .hits
+                .into_iter()
+                .map(|h| h.expect("all merged"))
+                .collect(),
+            worker_stats: self.stats,
+            wall_seconds: 0.0,
+            modelled_makespan,
+            total_cells: self
+                .query_lens
+                .iter()
+                .map(|&len| len as u64 * self.db_residues)
+                .sum(),
+            schedule: self.schedule,
+        })
+    }
+
+    fn all_dead(&self) -> SearchError {
+        SearchError::AllWorkersDead {
+            completed: self.completed,
+            total: self.done.len(),
+        }
+    }
+
+    /// Live CPU and live GPU worker ids, ascending: the processing
+    /// elements of a plan drawn now, in plan order.
+    fn live(&self) -> (Vec<usize>, Vec<usize>) {
+        (0..self.alive.len())
+            .filter(|&w| self.alive[w])
+            .partition(|&w| !self.is_gpu[w])
+    }
+
+    /// Estimated modelled seconds of task `t` on worker `w`'s species.
+    fn estimate(&self, w: usize, t: usize) -> f64 {
+        let task = self.tasks.tasks()[t];
+        if self.is_gpu[w] {
+            task.p_gpu
+        } else {
+            task.p_cpu
+        }
+    }
+
+    fn cells(&self, t: usize) -> f64 {
+        self.query_lens
+            .get(t)
+            .map_or(0.0, |&len| len as f64 * self.db_residues as f64)
+    }
+
+    /// Silent-death timeout for `est` modelled seconds of work whose
+    /// largest task has `max_cells` cells. Re-optimization never touches
+    /// this: the cells floor at the cold-host prior holds whatever the
+    /// re-calibrated planning factors say.
+    fn deadline(&self, est: f64, max_cells: f64) -> Duration {
+        Duration::from_secs_f64(
+            job_deadline_seconds(est, self.wall_ratio, self.slack, self.floor)
+                .max(self.slack * max_cells * self.secs_per_cell),
+        )
+    }
+
+    /// Worker `w`'s timeout, priced on its whole obligation: the
+    /// in-flight job plus its queue.
+    fn timeout(&self, w: usize) -> Duration {
+        let mut est = 0.0f64;
+        let mut max_cells = 0.0f64;
+        for t in self.in_flight[w]
+            .into_iter()
+            .chain(self.queue[w].iter().copied())
+        {
+            est = est.max(self.estimate(w, t));
+            max_cells = max_cells.max(self.cells(t));
+        }
+        self.deadline(est, max_cells)
+    }
+
+    /// Re-arm every deadline. Deadlines move on every message — far too
+    /// chatty to journal each — but the watchdog only needs the timeout
+    /// *magnitude* to judge silent-death proximity, so a
+    /// `worker_deadline` instant is published when a worker's timeout
+    /// changes by more than 10%.
+    fn refresh_deadlines(&mut self) {
+        for w in 0..self.alive.len() {
+            self.deadlines[w] = if self.alive[w] && self.in_flight[w].is_some() {
+                let timeout = self.timeout(w);
+                let secs = timeout.as_secs_f64();
+                if (secs - self.published_deadline[w]).abs() > 0.1 * self.published_deadline[w] {
+                    self.published_deadline[w] = secs;
+                    self.obs.instant(
+                        Track::Master,
+                        "worker_deadline",
+                        &[("worker", w as f64), ("timeout", secs)],
+                    );
+                }
+                self.now + timeout
+            } else {
+                NEVER
+            };
+        }
+    }
+
+    /// Keep the window-1 dispatch invariant for worker `w`: while it is
+    /// alive and idle, pop the head of its queue and send it (skipping
+    /// tasks that completed elsewhere in the meantime). Everything still
+    /// queued stays revocable by re-planning. Returns the worker's
+    /// orphans when it turns out to be dead at send time.
+    fn feed(&mut self, w: usize) -> Vec<usize> {
+        while self.alive[w] && self.in_flight[w].is_none() {
+            let Some(t) = self.queue[w].pop_front() else {
+                break;
+            };
+            if self.done[t] {
+                continue;
+            }
+            if !self.send(t, Some(w)) {
+                self.queue[w].push_front(t);
+                return self.kill(w, DEATH_DISPATCH);
+            }
+            self.in_flight[w] = Some(t);
+        }
+        Vec::new()
+    }
+
+    /// Stamp task `t`'s lineage onto a job and send it to worker `w` (or
+    /// the shared queue, `w = None`). A sent job journals its
+    /// `task_dispatch` causal edge — plan decision → dispatch, the parent
+    /// link the explain module and the Chrome-trace flow arrows follow;
+    /// `worker` is −1 for the shared queue. Returns `false` when the
+    /// receiver is gone.
+    fn send(&mut self, t: usize, w: Option<usize>) -> bool {
         let job = Job {
             task_id: t,
             query_index: t,
             dispatch_seq: self.seq,
             decision: self.decision,
-            dispatch_wall: obs.now(),
+            dispatch_wall: self.obs.now(),
             dispatch_virt: w.map_or(0.0, |w| self.virt_done[w]),
         };
         self.seq += 1;
-        job
+        if !self.out.send(w, job) {
+            return false;
+        }
+        self.obs.instant(
+            Track::Master,
+            "task_dispatch",
+            &[
+                ("task", t as f64),
+                ("worker", w.map_or(-1.0, |w| w as f64)),
+                ("seq", job.dispatch_seq as f64),
+                ("decision", job.decision as f64),
+                ("virt", job.dispatch_virt),
+            ],
+        );
+        true
     }
-}
 
-/// Journal the `task_dispatch` causal edge of a *successfully sent*
-/// job: plan decision → dispatch, the parent link the explain module
-/// and the Chrome-trace flow arrows follow. `worker` is −1 when the
-/// job went to the self-scheduling shared queue (receiver unknown).
-fn journal_dispatch(job: &Job, w: Option<usize>, obs: &Obs) {
-    obs.instant(
-        Track::Master,
-        "task_dispatch",
-        &[
-            ("task", job.task_id as f64),
-            ("worker", w.map_or(-1.0, |w| w as f64)),
-            ("seq", job.dispatch_seq as f64),
-            ("decision", job.decision as f64),
-            ("virt", job.dispatch_virt),
-        ],
-    );
-}
-
-/// Mutable recovery state threaded through re-dispatch.
-struct Recovery<'a> {
-    tasks: &'a TaskSet,
-    is_gpu: &'a [bool],
-    alive: &'a mut Vec<bool>,
-    queue: &'a mut Vec<Vec<usize>>,
-    in_flight: &'a mut Vec<Option<usize>>,
-    private_tx: &'a mut Vec<Option<channel::Sender<Job>>>,
-    /// `Some` under self-scheduling: orphans go back to the shared
-    /// queue instead of a re-planned static schedule.
-    shared_tx: Option<&'a channel::Sender<Job>>,
-    done: &'a [bool],
-    retries: &'a mut Vec<usize>,
-    max_retries: usize,
-    completed: usize,
-    n_tasks: usize,
-    ds: &'a mut DispatchState,
-    obs: &'a Obs,
-}
-
-/// Keep the window-1 dispatch invariant for worker `w`: while it is
-/// alive and idle, pop the head of its master-held queue and send it
-/// (skipping tasks that completed elsewhere in the meantime). At most
-/// one job is ever in flight per worker, so everything still queued
-/// remains revocable by re-planning. Returns the worker's re-orphaned
-/// queue when it turns out to be dead at send time.
-#[allow(clippy::too_many_arguments)]
-fn feed_worker(
-    w: usize,
-    alive: &mut [bool],
-    queue: &mut [Vec<usize>],
-    in_flight: &mut [Option<usize>],
-    private_tx: &mut [Option<channel::Sender<Job>>],
-    done: &[bool],
-    ds: &mut DispatchState,
-    obs: &Obs,
-) -> Vec<usize> {
-    let mut orphans = Vec::new();
-    while alive[w] && in_flight[w].is_none() && !queue[w].is_empty() {
-        let t = queue[w].remove(0);
-        if done[t] {
-            continue;
+    /// Send `tasks` to the self-scheduling shared queue.
+    fn share(&mut self, tasks: impl IntoIterator<Item = usize>) -> Result<(), SearchError> {
+        for t in tasks {
+            if !self.send(t, None) {
+                return Err(self.all_dead());
+            }
         }
-        let job = ds.stamp(t, Some(w), obs);
-        let sent = private_tx[w]
-            .as_ref()
-            .map(|tx| tx.send(job).is_ok())
-            .unwrap_or(false);
-        if sent {
-            in_flight[w] = Some(t);
-            journal_dispatch(&job, Some(w), obs);
-        } else {
-            // Dead at send: reclaim this task and the rest of its queue.
-            alive[w] = false;
-            private_tx[w] = None;
-            orphans.push(t);
-            orphans.append(&mut queue[w]);
-            obs.instant(
-                Track::Faults,
-                "worker_death",
-                &[("worker", w as f64), ("reason", DEATH_DISPATCH)],
-            );
-            obs.counter("workers_lost", 1.0);
-        }
+        Ok(())
     }
-    orphans
-}
 
-/// Give orphaned tasks a new home. Static policies re-plan them with
-/// the dual approximation on the surviving platform (the recovery
-/// schedule shows up on [`Track::Recovered`] rows); self-scheduling
-/// pushes them back onto the shared queue. Survivors found dead while
-/// re-dispatching are declared dead and their load re-orphaned, until
-/// everything is placed, the platform is empty, or a task blows its
-/// retry budget.
-fn redispatch_orphans(cx: Recovery<'_>, orphans: Vec<usize>) -> Result<(), SearchError> {
-    let Recovery {
-        tasks,
-        is_gpu,
-        alive,
-        queue,
-        in_flight,
-        private_tx,
-        shared_tx,
-        done,
-        retries,
-        max_retries,
-        completed,
-        n_tasks,
-        ds,
-        obs,
-    } = cx;
-    let mut to_place = orphans;
-    loop {
-        to_place.retain(|&t| !done[t]);
-        to_place.sort_unstable();
-        to_place.dedup();
-        if to_place.is_empty() {
-            return Ok(());
-        }
-        for &t in &to_place {
-            retries[t] += 1;
-            if retries[t] > max_retries {
-                return Err(SearchError::RetriesExhausted {
-                    task_id: t,
-                    retries: retries[t],
-                });
-            }
-            obs.instant(
-                Track::Faults,
-                "task_redispatch",
-                &[("task", t as f64), ("retry", retries[t] as f64)],
-            );
-            obs.counter("tasks_redispatched", 1.0);
-        }
+    /// Declare worker `w` dead for `reason` and return its orphans: the
+    /// in-flight job and everything queued on it.
+    fn kill(&mut self, w: usize, reason: f64) -> Vec<usize> {
+        self.alive[w] = false;
+        self.obs.instant(
+            Track::Faults,
+            "worker_death",
+            &[("worker", w as f64), ("reason", reason)],
+        );
+        self.obs.counter("workers_lost", 1.0);
+        self.in_flight[w]
+            .take()
+            .into_iter()
+            .chain(self.queue[w].drain(..))
+            .collect()
+    }
 
-        if let Some(shared) = shared_tx {
-            ds.decision += 1;
-            for &t in &to_place {
-                let job = ds.stamp(t, None, obs);
-                if shared.send(job).is_err() {
-                    return Err(SearchError::AllWorkersDead {
-                        completed,
-                        total: n_tasks,
-                    });
-                }
-                journal_dispatch(&job, None, obs);
-            }
-            return Ok(());
-        }
-
-        // Static policies: re-plan the orphans on whoever survives.
-        let live_cpu: Vec<usize> = (0..alive.len())
-            .filter(|&w| alive[w] && !is_gpu[w])
-            .collect();
-        let live_gpu: Vec<usize> = (0..alive.len())
-            .filter(|&w| alive[w] && is_gpu[w])
-            .collect();
-        if live_cpu.is_empty() && live_gpu.is_empty() {
-            return Err(SearchError::AllWorkersDead {
-                completed,
-                total: n_tasks,
-            });
-        }
-        let platform = PlatformSpec::new(live_cpu.len(), live_gpu.len());
-        let plan = reschedule_remainder(tasks, &to_place, &platform, BinarySearchConfig::default());
-        // Each fault re-plan is its own decision in the causal lineage.
-        ds.decision += 1;
-        let mut per: Vec<Vec<(f64, usize)>> = vec![Vec::new(); alive.len()];
+    /// Queue `plan` (drawn over the `live` CPU and GPU ids) on its
+    /// workers in planned start order, journal each placement on
+    /// `track`, and start every idle worker on its queue. Returns the
+    /// tasks of workers found dead at send time.
+    fn place(
+        &mut self,
+        plan: &Schedule,
+        live: &(Vec<usize>, Vec<usize>),
+        track: fn(usize) -> Track,
+        reopt_round: Option<usize>,
+    ) -> Vec<usize> {
+        let mut per: Vec<Vec<(f64, usize)>> = vec![Vec::new(); self.alive.len()];
         for p in &plan.placements {
             let w = match p.pe.kind {
-                PeKind::Cpu => live_cpu[p.pe.index],
-                PeKind::Gpu => live_gpu[p.pe.index],
+                PeKind::Cpu => live.0[p.pe.index],
+                PeKind::Gpu => live.1[p.pe.index],
             };
-            if obs.is_enabled() {
-                obs.virtual_span(
-                    Track::Recovered(w),
+            if self.obs.is_enabled() {
+                let task = ("task", p.task as f64);
+                let decision = ("decision", self.decision as f64);
+                let with_round;
+                let args: &[(&str, f64)] = match reopt_round {
+                    Some(r) => {
+                        with_round = [task, ("reopt", r as f64), decision];
+                        &with_round
+                    }
+                    None => &[task, decision],
+                };
+                self.obs.virtual_span(
+                    track(w),
                     &format!("task-{}", p.task),
                     p.start,
                     p.end - p.start,
-                    &[("task", p.task as f64), ("decision", ds.decision as f64)],
+                    args,
                 );
             }
             per[w].push((p.start, p.task));
         }
-        let mut next_round: Vec<usize> = Vec::new();
+        let mut orphans = Vec::new();
         for (w, mut list) in per.into_iter().enumerate() {
-            if list.is_empty() {
-                continue;
-            }
             list.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-            queue[w].extend(list.into_iter().map(|(_, t)| t));
-            // Window-1: only the head goes out now; the rest waits in
-            // the master-held queue. A survivor found dead at send time
-            // re-orphans its whole queue for the next round.
-            next_round.append(&mut feed_worker(
-                w, alive, queue, in_flight, private_tx, done, ds, obs,
-            ));
+            self.queue[w].extend(list.into_iter().map(|(_, t)| t));
+            orphans.append(&mut self.feed(w));
         }
-        to_place = next_round;
+        orphans
+    }
+
+    /// Give orphaned tasks a new home, then re-arm the deadlines; an
+    /// unrecoverable loss becomes the search's error.
+    fn recover(&mut self, orphans: Vec<usize>) {
+        match self.redispatch(orphans) {
+            Ok(()) => self.refresh_deadlines(),
+            Err(e) => self.error = Some(e),
+        }
+    }
+
+    /// Static policies re-plan orphans with the dual approximation on
+    /// the surviving platform (the recovery schedule shows up on
+    /// [`Track::Recovered`] rows); self-scheduling pushes them back onto
+    /// the shared queue. Survivors found dead while re-dispatching
+    /// re-orphan their load into the next round, until everything is
+    /// placed, the platform is empty, or a task blows its retry budget.
+    fn redispatch(&mut self, mut to_place: Vec<usize>) -> Result<(), SearchError> {
+        loop {
+            to_place.retain(|&t| !self.done[t]);
+            to_place.sort_unstable();
+            to_place.dedup();
+            if to_place.is_empty() {
+                return Ok(());
+            }
+            for &t in &to_place {
+                self.retries[t] += 1;
+                if self.retries[t] > self.max_retries {
+                    return Err(SearchError::RetriesExhausted {
+                        task_id: t,
+                        retries: self.retries[t],
+                    });
+                }
+                self.obs.instant(
+                    Track::Faults,
+                    "task_redispatch",
+                    &[("task", t as f64), ("retry", self.retries[t] as f64)],
+                );
+                self.obs.counter("tasks_redispatched", 1.0);
+            }
+            // Each re-plan is its own decision in the causal lineage.
+            self.decision += 1;
+            if self.shared {
+                return self.share(to_place);
+            }
+            let live = self.live();
+            if live.0.is_empty() && live.1.is_empty() {
+                return Err(self.all_dead());
+            }
+            let platform = PlatformSpec::new(live.0.len(), live.1.len());
+            let plan = reschedule_remainder(
+                &self.tasks,
+                &to_place,
+                &platform,
+                BinarySearchConfig::default(),
+            );
+            to_place = self.place(&plan, &live, Track::Recovered, None);
+        }
+    }
+
+    /// Species-relative slowdown factors of `ids`: the baseline is the
+    /// fastest same-species worker *with data*; workers without data
+    /// keep the honest prior.
+    fn factors(&self, ids: &[usize]) -> Vec<f64> {
+        let baseline = ids
+            .iter()
+            .map(|&w| self.obs_ratio[w])
+            .filter(|&r| r > 0.0)
+            .fold(f64::INFINITY, f64::min);
+        ids.iter()
+            .map(|&w| {
+                if self.obs_ratio[w] > 0.0 && baseline.is_finite() && baseline > 0.0 {
+                    (self.obs_ratio[w] / baseline).clamp(1.0, MAX_REOPT_FACTOR)
+                } else {
+                    1.0
+                }
+            })
+            .collect()
+    }
+
+    /// Online re-optimization: when some live worker's slowdown factor
+    /// has grown past the threshold relative to the plan it is
+    /// executing, pull every still-queued task back and re-plan them on
+    /// the re-calibrated platform with the weighted remainder
+    /// scheduler. In-flight jobs (one per worker) stay where they are.
+    fn maybe_reoptimize(&mut self) {
+        if !self.reopt.enabled || self.shared || self.error.is_some() {
+            return;
+        }
+        let live = self.live();
+        let cpu_f = self.factors(&live.0);
+        let gpu_f = self.factors(&live.1);
+        let skew = live
+            .0
+            .iter()
+            .zip(&cpu_f)
+            .chain(live.1.iter().zip(&gpu_f))
+            .fold(1.0f64, |s, (&w, f)| s.max(f / self.planned_factor[w]));
+        self.metrics.gauge("reopt_skew", &[], skew);
+        let remaining: usize = self.queue.iter().map(VecDeque::len).sum();
+        if skew < self.reopt.threshold || remaining < self.reopt.min_remaining {
+            return;
+        }
+        let mut remainder: Vec<usize> = self.queue.iter_mut().flat_map(|q| q.drain(..)).collect();
+        remainder.retain(|&t| !self.done[t]);
+        if remainder.is_empty() {
+            return;
+        }
+        self.reopt_rounds += 1;
+        self.obs.instant(
+            Track::Faults,
+            "reopt_replan",
+            &[
+                ("round", self.reopt_rounds as f64),
+                ("remaining", remainder.len() as f64),
+                ("skew", skew),
+            ],
+        );
+        self.obs.counter("reopt_replans", 1.0);
+        self.metrics
+            .gauge("reopt_rounds", &[], self.reopt_rounds as f64);
+        self.decision += 1;
+        let plan = reschedule_remainder_weighted(
+            &self.tasks,
+            &remainder,
+            &WorkerFactors::new(cpu_f.clone(), gpu_f.clone()),
+            BinarySearchConfig::default(),
+        );
+        for (&w, &f) in live.0.iter().zip(&cpu_f).chain(live.1.iter().zip(&gpu_f)) {
+            self.planned_factor[w] = f;
+        }
+        let stranded = self.place(&plan, &live, Track::Recovered, Some(self.reopt_rounds));
+        if !stranded.is_empty() {
+            self.recover(stranded);
+        }
+        self.refresh_deadlines();
     }
 }
 
@@ -543,38 +1096,30 @@ pub fn try_run_search(
     if workers.is_empty() {
         return Err(SearchError::NoWorkers);
     }
-    let n_tasks = queries.len();
+    let query_lens: Vec<usize> = queries.iter().map(|q| q.len()).collect();
+    let db_residues = database.total_residues();
     let database = Arc::new(database);
     let queries = Arc::new(queries);
-    let db_residues = database.total_residues();
-    let total_cells: u64 = queries.iter().map(|q| q.len() as u64 * db_residues).sum();
-    let is_gpu: Vec<bool> = workers.iter().map(|w| w.is_gpu()).collect();
-
     let (reg_tx, reg_rx) = channel::unbounded::<Registration>();
     let (msg_tx, msg_rx) = channel::unbounded::<WorkerMsg>();
-    let shared_queue = matches!(config.policy, AllocationPolicy::SelfScheduling);
+    let shared_queue = config.policy == AllocationPolicy::SelfScheduling;
     let (shared_tx, shared_rx) = channel::unbounded::<Job>();
-    let mut shared_tx = Some(shared_tx);
-    let mut private_tx: Vec<Option<channel::Sender<Job>>> = Vec::with_capacity(workers.len());
-
     let obs = config.obs.clone();
     let start = Instant::now();
-    let mut results: Vec<JobResult> = Vec::with_capacity(n_tasks);
-    let mut schedule: Option<Schedule> = None;
-    let mut error: Option<SearchError> = None;
 
-    std::thread::scope(|scope| {
+    let result = std::thread::scope(|scope| {
         // Phase 1 — spawn workers; each registers with the master
         // before waiting for jobs (paper Figure 6: "Register with
         // master" / "Register slaves").
         let t_register = obs.now();
+        let mut private = Vec::with_capacity(workers.len());
         for (worker_id, spec) in workers.iter().enumerate() {
             let job_rx = if shared_queue {
-                private_tx.push(None);
+                private.push(None);
                 shared_rx.clone()
             } else {
                 let (tx, rx) = channel::unbounded::<Job>();
-                private_tx.push(Some(tx));
+                private.push(Some(tx));
                 rx
             };
             let ctx = WorkerContext {
@@ -608,860 +1153,109 @@ pub fn try_run_search(
             }
         }
         registrations.sort_by_key(|r| r.worker_id);
-        let mut alive = vec![false; workers.len()];
-        for r in &registrations {
-            alive[r.worker_id] = true;
-        }
-        for w in 0..workers.len() {
-            if !alive[w] {
-                // Dead at (or before) registration: close its queue so
-                // the thread — if it is somehow still there — exits.
-                private_tx[w] = None;
-                obs.instant(
-                    Track::Faults,
-                    "worker_lost_registration",
-                    &[("worker", w as f64)],
-                );
-                obs.counter("workers_lost", 1.0);
-            }
-        }
-        // Journal who registered as what: the auditor uses these to
-        // attribute species (CPU/GPU) to worker tracks.
-        for r in &registrations {
-            obs.instant(
-                Track::Master,
-                "worker_registered",
-                &[
-                    ("worker", r.worker_id as f64),
-                    ("is_gpu", if r.is_gpu { 1.0 } else { 0.0 }),
-                ],
-            );
-        }
-        // Journal each worker's device class. Event args are numeric,
-        // so the class rides in the event name (`device_class:<name>`);
-        // the auditor parses it back out without the obs crate ever
-        // depending on the device zoo types.
-        if obs.is_enabled() {
-            for r in &registrations {
-                let class = match workers[r.worker_id].device_class_of() {
-                    Some(c) => c.name(),
-                    None if r.is_gpu => "custom",
-                    None => "cpu",
-                };
-                obs.instant(
-                    Track::Master,
-                    &format!("device_class:{class}"),
-                    &[("worker", r.worker_id as f64)],
-                );
-            }
-        }
-        obs.span(
-            Track::Master,
-            "register",
-            t_register,
-            obs.now() - t_register,
-            None,
-            &[
-                ("workers", workers.len() as f64),
-                ("registered", registrations.len() as f64),
-            ],
-        );
+        close_registration(workers, &registrations, &mut private, &obs, t_register);
         let metrics = obs.metrics();
         metrics.gauge("workers_alive", &[], registrations.len() as f64);
-        metrics.gauge("tasks_total", &[], n_tasks as f64);
-        metrics.gauge("queue_depth", &[], n_tasks as f64);
-        if registrations.is_empty() {
-            error = Some(SearchError::NoWorkersRegistered);
+        metrics.gauge("tasks_total", &[], query_lens.len() as f64);
+        metrics.gauge("queue_depth", &[], query_lens.len() as f64);
+
+        // Phases 3–5 — allocate, dispatch, merge. Dropping the outbox
+        // with the master shuts every job queue, so surviving worker
+        // threads drain out and the scope join completes — on success
+        // and error alike.
+        let outbox = ChannelOutbox {
+            private,
+            shared: shared_tx,
+        };
+        let mut master = Master::new(
+            workers,
+            &registrations,
+            query_lens,
+            db_residues,
+            &config,
+            outbox,
+            start.elapsed(),
+        )?;
+        let tick = (config.min_job_timeout / 8)
+            .min(Duration::from_millis(25))
+            .max(Duration::from_millis(1));
+        while !master.is_finished() {
+            match msg_rx.recv_timeout(tick) {
+                Ok(WorkerMsg::Completed(r)) => master.on_completed(r, start.elapsed()),
+                Ok(WorkerMsg::Failed(f)) => master.on_failed(f, start.elapsed()),
+                Err(RecvTimeoutError::Timeout) => master.on_tick(start.elapsed()),
+                // Every worker thread has exited with work outstanding.
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
         }
-
-        if error.is_none() {
-            // Phase 3 — allocate from the *declared* rate models of
-            // the workers that actually registered.
-            let t_allocate = obs.now();
-            let cpu_model = registrations
-                .iter()
-                .find(|r| !r.is_gpu)
-                .map(|r| r.rate_model);
-            let gpu_model = registrations
-                .iter()
-                .find(|r| r.is_gpu)
-                .map(|r| r.rate_model);
-            let live_cpu: Vec<usize> = registrations
-                .iter()
-                .filter(|r| !r.is_gpu)
-                .map(|r| r.worker_id)
-                .collect();
-            let live_gpu: Vec<usize> = registrations
-                .iter()
-                .filter(|r| r.is_gpu)
-                .map(|r| r.worker_id)
-                .collect();
-            let platform = PlatformSpec::new(live_cpu.len(), live_gpu.len());
-            let tasks = build_tasks(&queries, db_residues, cpu_model, gpu_model);
-            // Journal the rate-model estimates per task: the auditor
-            // reconstructs acceleration ratios (p_cpu/p_gpu) from these
-            // to judge the knapsack's GPU-side ordering.
-            if obs.is_enabled() {
-                for t in tasks.iter() {
-                    let qlen = queries.get(t.id).map_or(0, |q| q.len());
-                    obs.instant(
-                        Track::Master,
-                        "task_model",
-                        &[
-                            ("task", t.id as f64),
-                            ("p_cpu", t.p_cpu),
-                            ("p_gpu", t.p_gpu),
-                            ("query_len", qlen as f64),
-                            ("cells", qlen as f64 * db_residues as f64),
-                        ],
-                    );
-                }
-            }
-            let planned: Option<Schedule> = match config.policy {
-                AllocationPolicy::DualApprox(method) => Some(
-                    dual_approx_schedule_observed(
-                        &tasks,
-                        &platform,
-                        BinarySearchConfig {
-                            method,
-                            ..BinarySearchConfig::default()
-                        },
-                        &obs,
-                    )
-                    .schedule,
-                ),
-                AllocationPolicy::SelfScheduling => None,
-                AllocationPolicy::MultiRound { rounds } => {
-                    Some(swdual_sched::multiround::multi_round_schedule(
-                        &tasks,
-                        &platform,
-                        rounds,
-                        BinarySearchConfig::default(),
-                    ))
-                }
-            };
-            obs.span(
-                Track::Master,
-                "allocate",
-                t_allocate,
-                obs.now() - t_allocate,
-                None,
-                &[("tasks", n_tasks as f64)],
-            );
-
-            // The planned schedule goes on its own modelled-clock
-            // tracks so exports can overlay plan against actual.
-            if obs.is_enabled() {
-                if let Some(s) = &planned {
-                    for p in &s.placements {
-                        let worker_id = match p.pe.kind {
-                            PeKind::Cpu => live_cpu[p.pe.index],
-                            PeKind::Gpu => live_gpu[p.pe.index],
-                        };
-                        obs.virtual_span(
-                            Track::Planned(worker_id),
-                            &format!("task-{}", p.task),
-                            p.start,
-                            p.end - p.start,
-                            &[("task", p.task as f64), ("decision", 0.0)],
-                        );
-                    }
-                }
-            }
-
-            // Phase 4 — dispatch. Static policies now run with a
-            // window of one: the master holds each worker's ordered
-            // task queue and keeps exactly one job in flight per
-            // worker, so every task still queued is revocable — the
-            // raw material for both orphan re-dispatch and online
-            // re-optimization. Self-scheduling keeps its shared queue.
-            let t_dispatch = obs.now();
-            let mut ds = DispatchState::new(workers.len());
-            let mut queue: Vec<Vec<usize>> = vec![Vec::new(); workers.len()];
-            let mut in_flight: Vec<Option<usize>> = vec![None; workers.len()];
-            let mut done = vec![false; n_tasks];
-            let mut retries = vec![0usize; n_tasks];
-            let mut completed = 0usize;
-            let mut initial_orphans: Vec<usize> = Vec::new();
-            match &planned {
-                Some(s) => {
-                    let mut jobs: Vec<Vec<(f64, usize)>> = vec![Vec::new(); workers.len()];
-                    for p in &s.placements {
-                        let worker_id = match p.pe.kind {
-                            PeKind::Cpu => live_cpu[p.pe.index],
-                            PeKind::Gpu => live_gpu[p.pe.index],
-                        };
-                        jobs[worker_id].push((p.start, p.task));
-                    }
-                    for (worker_id, mut list) in jobs.into_iter().enumerate() {
-                        list.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-                        queue[worker_id].extend(list.into_iter().map(|(_, t)| t));
-                        initial_orphans.append(&mut feed_worker(
-                            worker_id,
-                            &mut alive,
-                            &mut queue,
-                            &mut in_flight,
-                            &mut private_tx,
-                            &done,
-                            &mut ds,
-                            &obs,
-                        ));
-                    }
-                }
-                None => {
-                    for task_id in 0..n_tasks {
-                        let job = ds.stamp(task_id, None, &obs);
-                        if shared_tx
-                            .as_ref()
-                            .expect("shared queue open")
-                            .send(job)
-                            .is_err()
-                        {
-                            error = Some(SearchError::AllWorkersDead {
-                                completed: 0,
-                                total: n_tasks,
-                            });
-                            break;
-                        }
-                        journal_dispatch(&job, None, &obs);
-                    }
-                }
-            }
-            schedule = planned;
-            obs.span(
-                Track::Master,
-                "dispatch",
-                t_dispatch,
-                obs.now() - t_dispatch,
-                None,
-                &[("tasks", n_tasks as f64)],
-            );
-
-            // Phase 5 — merge results as they stream in, watching for
-            // deaths (explicit or by deadline), re-dispatching orphans
-            // and — when enabled — re-optimizing the remaining plan.
-            let t_merge = obs.now();
-            // Largest observed wall-seconds per estimated-modelled-second:
-            // converts modelled estimates into wall deadlines as the run
-            // calibrates itself.
-            let mut wall_ratio = 0.0f64;
-            // Re-optimization state: per-worker maxima of the observed
-            // modelled-time/estimate ratio (the estimator's
-            // miscalibration as seen on the deterministic modelled
-            // clock), and the slowdown factor each worker's *current
-            // plan* was drawn with (1.0 = the original uniform prior).
-            let mut obs_ratio = vec![0.0f64; workers.len()];
-            let mut planned_factor = vec![1.0f64; workers.len()];
-            let mut reopt_rounds = 0usize;
-            let reopt = config.reopt;
-            // Slowest observed wall-seconds per alignment cell, seeded
-            // with the conservative cold-start prior. This bounds every
-            // deadline from below: the modelled-estimate path can be
-            // badly miscalibrated (modelled overhead dominates tiny
-            // tasks while wall time is compute-dominated), but "no host
-            // is slower than 10 MCUPS" always holds.
-            let mut secs_per_cell = 1.0 / COLD_HOST_CELLS_PER_SEC;
-            let floor = config.min_job_timeout.as_secs_f64();
-            let slack = config.job_timeout_slack;
-            let est_on = |w: usize, t: usize| {
-                let task = tasks.tasks()[t];
-                if is_gpu[w] {
-                    task.p_gpu
-                } else {
-                    task.p_cpu
-                }
-            };
-            let cells_of = |t: usize| {
-                queries
-                    .get(t)
-                    .map_or(0.0, |q| q.len() as f64 * db_residues as f64)
-            };
-            // The worker's whole obligation — the in-flight job plus
-            // its master-held queue — prices its deadline, exactly as
-            // the old all-upfront dispatch did. Re-optimization never
-            // touches this path: the floor below (cells at the
-            // conservative cold-host prior) holds whatever the
-            // re-calibrated planning factors say.
-            let timeout_for =
-                |w: usize, in_flight_w: Option<usize>, queue_w: &[usize], ratio: f64, spc: f64| {
-                    let mut est = 0.0f64;
-                    let mut max_cells = 0.0f64;
-                    for t in in_flight_w.into_iter().chain(queue_w.iter().copied()) {
-                        est = est.max(est_on(w, t));
-                        max_cells = max_cells.max(cells_of(t));
-                    }
-                    let modelled = job_deadline_seconds(est, ratio, slack, floor);
-                    Duration::from_secs_f64(modelled.max(slack * max_cells * spc))
-                };
-            let far_future = Instant::now() + Duration::from_secs(365 * 86_400);
-            let mut deadlines: Vec<Instant> = vec![far_future; workers.len()];
-            // Deadlines are wall-now-relative and recomputed on every
-            // merge-loop message — far too chatty to journal each. The
-            // watchdog only needs the timeout *magnitude* to judge
-            // silent-death proximity, so publish a `worker_deadline`
-            // instant when a worker's timeout changes by >10%.
-            let mut published_deadline: Vec<f64> = vec![0.0; workers.len()];
-            macro_rules! refresh_deadlines {
-                () => {
-                    for w in 0..workers.len() {
-                        deadlines[w] = if alive[w] && in_flight[w].is_some() {
-                            let timeout =
-                                timeout_for(w, in_flight[w], &queue[w], wall_ratio, secs_per_cell);
-                            let secs = timeout.as_secs_f64();
-                            if (secs - published_deadline[w]).abs() > 0.1 * published_deadline[w] {
-                                published_deadline[w] = secs;
-                                obs.instant(
-                                    Track::Master,
-                                    "worker_deadline",
-                                    &[("worker", w as f64), ("timeout", secs)],
-                                );
-                            }
-                            Instant::now() + timeout
-                        } else {
-                            far_future
-                        };
-                    }
-                };
-            }
-            // Online re-optimization: recompute species-relative
-            // slowdown factors from the observed modelled/estimate
-            // ratios; when some live worker's factor has grown past the
-            // threshold relative to the plan it is executing, pull every
-            // still-queued task back and re-plan them on the
-            // re-calibrated platform with the weighted remainder
-            // scheduler. The in-flight jobs (one per worker) stay where
-            // they are. A macro because it reworks half the merge
-            // loop's mutable state.
-            macro_rules! maybe_reoptimize {
-                () => {
-                    if reopt.enabled && !shared_queue && schedule.is_some() && error.is_none() {
-                        let live_cpu: Vec<usize> = (0..workers.len())
-                            .filter(|&w| alive[w] && !is_gpu[w])
-                            .collect();
-                        let live_gpu: Vec<usize> = (0..workers.len())
-                            .filter(|&w| alive[w] && is_gpu[w])
-                            .collect();
-                        // Species-relative factors: baseline is the
-                        // fastest same-species worker *with data*;
-                        // workers without data keep the honest prior.
-                        let factors_of = |ids: &[usize]| -> Vec<f64> {
-                            let baseline = ids
-                                .iter()
-                                .map(|&w| obs_ratio[w])
-                                .filter(|&r| r > 0.0)
-                                .fold(f64::INFINITY, f64::min);
-                            ids.iter()
-                                .map(|&w| {
-                                    if obs_ratio[w] > 0.0 && baseline.is_finite() && baseline > 0.0
-                                    {
-                                        (obs_ratio[w] / baseline).clamp(1.0, MAX_REOPT_FACTOR)
-                                    } else {
-                                        1.0
-                                    }
-                                })
-                                .collect()
-                        };
-                        let cpu_f = factors_of(&live_cpu);
-                        let gpu_f = factors_of(&live_gpu);
-                        let mut skew = 1.0f64;
-                        for (i, &w) in live_cpu.iter().enumerate() {
-                            skew = skew.max(cpu_f[i] / planned_factor[w]);
-                        }
-                        for (i, &w) in live_gpu.iter().enumerate() {
-                            skew = skew.max(gpu_f[i] / planned_factor[w]);
-                        }
-                        metrics.gauge("reopt_skew", &[], skew);
-                        let remaining: usize = (0..workers.len()).map(|w| queue[w].len()).sum();
-                        if skew >= reopt.threshold && remaining >= reopt.min_remaining {
-                            let mut remainder: Vec<usize> = Vec::with_capacity(remaining);
-                            for w in 0..workers.len() {
-                                remainder.append(&mut queue[w]);
-                            }
-                            remainder.retain(|&t| !done[t]);
-                            if !remainder.is_empty() {
-                                reopt_rounds += 1;
-                                obs.instant(
-                                    Track::Faults,
-                                    "reopt_replan",
-                                    &[
-                                        ("round", reopt_rounds as f64),
-                                        ("remaining", remainder.len() as f64),
-                                        ("skew", skew),
-                                    ],
-                                );
-                                obs.counter("reopt_replans", 1.0);
-                                metrics.gauge("reopt_rounds", &[], reopt_rounds as f64);
-                                ds.decision += 1;
-                                let wf = WorkerFactors::new(cpu_f.clone(), gpu_f.clone());
-                                let plan = reschedule_remainder_weighted(
-                                    &tasks,
-                                    &remainder,
-                                    &wf,
-                                    BinarySearchConfig::default(),
-                                );
-                                for (i, &w) in live_cpu.iter().enumerate() {
-                                    planned_factor[w] = cpu_f[i];
-                                }
-                                for (i, &w) in live_gpu.iter().enumerate() {
-                                    planned_factor[w] = gpu_f[i];
-                                }
-                                let mut per: Vec<Vec<(f64, usize)>> =
-                                    vec![Vec::new(); workers.len()];
-                                for p in &plan.placements {
-                                    let w = match p.pe.kind {
-                                        PeKind::Cpu => live_cpu[p.pe.index],
-                                        PeKind::Gpu => live_gpu[p.pe.index],
-                                    };
-                                    if obs.is_enabled() {
-                                        obs.virtual_span(
-                                            Track::Recovered(w),
-                                            &format!("task-{}", p.task),
-                                            p.start,
-                                            p.end - p.start,
-                                            &[
-                                                ("task", p.task as f64),
-                                                ("reopt", reopt_rounds as f64),
-                                                ("decision", ds.decision as f64),
-                                            ],
-                                        );
-                                    }
-                                    per[w].push((p.start, p.task));
-                                }
-                                let mut stranded: Vec<usize> = Vec::new();
-                                for (w, mut list) in per.into_iter().enumerate() {
-                                    if list.is_empty() {
-                                        continue;
-                                    }
-                                    list.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-                                    queue[w].extend(list.into_iter().map(|(_, t)| t));
-                                    stranded.append(&mut feed_worker(
-                                        w,
-                                        &mut alive,
-                                        &mut queue,
-                                        &mut in_flight,
-                                        &mut private_tx,
-                                        &done,
-                                        &mut ds,
-                                        &obs,
-                                    ));
-                                }
-                                if !stranded.is_empty() {
-                                    let res = redispatch_orphans(
-                                        Recovery {
-                                            tasks: &tasks,
-                                            is_gpu: &is_gpu,
-                                            alive: &mut alive,
-                                            queue: &mut queue,
-                                            in_flight: &mut in_flight,
-                                            private_tx: &mut private_tx,
-                                            shared_tx: None,
-                                            done: &done,
-                                            retries: &mut retries,
-                                            max_retries: config.max_task_retries,
-                                            completed,
-                                            n_tasks,
-                                            ds: &mut ds,
-                                            obs: &obs,
-                                        },
-                                        stranded,
-                                    );
-                                    if let Err(e) = res {
-                                        error = Some(e);
-                                    }
-                                }
-                                refresh_deadlines!();
-                            }
-                        }
-                    }
-                };
-            }
-
-            refresh_deadlines!();
-            let mut last_activity = Instant::now();
-            let tick = (config.min_job_timeout / 8)
-                .min(Duration::from_millis(25))
-                .max(Duration::from_millis(1));
-
-            if error.is_none() && !initial_orphans.is_empty() {
-                let res = redispatch_orphans(
-                    Recovery {
-                        tasks: &tasks,
-                        is_gpu: &is_gpu,
-                        alive: &mut alive,
-                        queue: &mut queue,
-                        in_flight: &mut in_flight,
-                        private_tx: &mut private_tx,
-                        shared_tx: None,
-                        done: &done,
-                        retries: &mut retries,
-                        max_retries: config.max_task_retries,
-                        completed,
-                        n_tasks,
-                        ds: &mut ds,
-                        obs: &obs,
-                    },
-                    initial_orphans,
-                );
-                match res {
-                    Ok(()) => refresh_deadlines!(),
-                    Err(e) => error = Some(e),
-                }
-            }
-
-            while error.is_none() && completed < n_tasks {
-                match msg_rx.recv_timeout(tick) {
-                    Ok(WorkerMsg::Completed(r)) => {
-                        last_activity = Instant::now();
-                        let w = r.worker_id;
-                        if in_flight[w] == Some(r.task_id) {
-                            in_flight[w] = None;
-                        }
-                        queue[w].retain(|&t| t != r.task_id);
-                        // Advance the master's view of this worker's
-                        // modelled clock: the virtual timestamp its
-                        // *next* dispatch will carry.
-                        ds.virt_done[w] += r.modelled_seconds.max(0.0);
-                        // Calibrate against the *estimator's* modelled
-                        // time for this task — the same quantity the
-                        // deadlines below are computed from. (The
-                        // worker-reported modelled clock is a different
-                        // animal: GPU workers report kernel-only virtual
-                        // seconds, orders of magnitude away from both
-                        // the estimate and the wall clock.)
-                        let est = est_on(w, r.task_id);
-                        if est > 0.0 {
-                            wall_ratio = wall_ratio.max(r.wall_seconds / est);
-                            // Modelled/estimate ratio on the worker's own
-                            // deterministic clock feeds re-optimization.
-                            // Within one species the modelled clocks are
-                            // commensurable, so the *relative* spread of
-                            // these ratios is exactly the slowdown skew.
-                            if r.modelled_seconds > 0.0 {
-                                obs_ratio[w] = obs_ratio[w].max(r.modelled_seconds / est);
-                            }
-                        }
-                        let cells = cells_of(r.task_id);
-                        if cells > 0.0 {
-                            secs_per_cell = secs_per_cell.max(r.wall_seconds / cells);
-                        }
-                        if done[r.task_id] {
-                            // A straggler or an undetected-dead worker
-                            // finished a task someone else already
-                            // completed. Scores are identical by
-                            // construction; keep the first.
-                            obs.instant(
-                                Track::Faults,
-                                "duplicate_result",
-                                &[("task", r.task_id as f64), ("worker", w as f64)],
-                            );
-                            obs.counter("duplicate_results", 1.0);
-                        } else {
-                            done[r.task_id] = true;
-                            completed += 1;
-                            results.push(r);
-                            metrics.gauge("queue_depth", &[], (n_tasks - completed) as f64);
-                            metrics.gauge("tasks_completed", &[], completed as f64);
-                        }
-                        maybe_reoptimize!();
-                        if error.is_none() && !shared_queue {
-                            let stranded = feed_worker(
-                                w,
-                                &mut alive,
-                                &mut queue,
-                                &mut in_flight,
-                                &mut private_tx,
-                                &done,
-                                &mut ds,
-                                &obs,
-                            );
-                            if !stranded.is_empty() {
-                                let res = redispatch_orphans(
-                                    Recovery {
-                                        tasks: &tasks,
-                                        is_gpu: &is_gpu,
-                                        alive: &mut alive,
-                                        queue: &mut queue,
-                                        in_flight: &mut in_flight,
-                                        private_tx: &mut private_tx,
-                                        shared_tx: None,
-                                        done: &done,
-                                        retries: &mut retries,
-                                        max_retries: config.max_task_retries,
-                                        completed,
-                                        n_tasks,
-                                        ds: &mut ds,
-                                        obs: &obs,
-                                    },
-                                    stranded,
-                                );
-                                match res {
-                                    Ok(()) => refresh_deadlines!(),
-                                    Err(e) => error = Some(e),
-                                }
-                            }
-                        }
-                        if alive[w] {
-                            deadlines[w] = if in_flight[w].is_none() {
-                                far_future
-                            } else {
-                                Instant::now()
-                                    + timeout_for(
-                                        w,
-                                        in_flight[w],
-                                        &queue[w],
-                                        wall_ratio,
-                                        secs_per_cell,
-                                    )
-                            };
-                        }
-                    }
-                    Ok(WorkerMsg::Failed(f)) => {
-                        last_activity = Instant::now();
-                        let w = f.worker_id;
-                        if alive[w] {
-                            alive[w] = false;
-                            private_tx[w] = None;
-                            let reason = match f.reason {
-                                FailureReason::Crash => DEATH_CRASH,
-                                FailureReason::DeviceFault { .. } => DEATH_DEVICE,
-                            };
-                            obs.instant(
-                                Track::Faults,
-                                "worker_death",
-                                &[("worker", w as f64), ("reason", reason)],
-                            );
-                            obs.counter("workers_lost", 1.0);
-                            let mut orphans: Vec<usize> = Vec::new();
-                            if let Some(t) = in_flight[w].take() {
-                                orphans.push(t);
-                            }
-                            orphans.append(&mut queue[w]);
-                            if let Some(t) = f.in_flight {
-                                if !orphans.contains(&t) {
-                                    orphans.push(t);
-                                }
-                            }
-                            let res = redispatch_orphans(
-                                Recovery {
-                                    tasks: &tasks,
-                                    is_gpu: &is_gpu,
-                                    alive: &mut alive,
-                                    queue: &mut queue,
-                                    in_flight: &mut in_flight,
-                                    private_tx: &mut private_tx,
-                                    shared_tx: if shared_queue {
-                                        shared_tx.as_ref()
-                                    } else {
-                                        None
-                                    },
-                                    done: &done,
-                                    retries: &mut retries,
-                                    max_retries: config.max_task_retries,
-                                    completed,
-                                    n_tasks,
-                                    ds: &mut ds,
-                                    obs: &obs,
-                                },
-                                orphans,
-                            );
-                            match res {
-                                Ok(()) => refresh_deadlines!(),
-                                Err(e) => error = Some(e),
-                            }
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        let now = Instant::now();
-                        if shared_queue {
-                            // Self-scheduling: the master cannot know
-                            // which worker holds which task, so a
-                            // global stall re-queues everything not
-                            // done (duplicates are deduped on merge).
-                            let est = (0..n_tasks)
-                                .filter(|&t| !done[t])
-                                .map(|t| {
-                                    let task = tasks.tasks()[t];
-                                    let mut e = 0.0f64;
-                                    if (0..workers.len()).any(|w| alive[w] && !is_gpu[w]) {
-                                        e = e.max(task.p_cpu);
-                                    }
-                                    if (0..workers.len()).any(|w| alive[w] && is_gpu[w]) {
-                                        e = e.max(task.p_gpu);
-                                    }
-                                    e
-                                })
-                                .fold(0.0, f64::max);
-                            let max_cells = (0..n_tasks)
-                                .filter(|&t| !done[t])
-                                .map(cells_of)
-                                .fold(0.0, f64::max);
-                            let stall = Duration::from_secs_f64(
-                                job_deadline_seconds(est, wall_ratio, slack, floor)
-                                    .max(slack * max_cells * secs_per_cell),
-                            );
-                            if now.duration_since(last_activity) >= stall {
-                                obs.instant(
-                                    Track::Faults,
-                                    "stall_redispatch",
-                                    &[("outstanding", (n_tasks - completed) as f64)],
-                                );
-                                let orphans: Vec<usize> =
-                                    (0..n_tasks).filter(|&t| !done[t]).collect();
-                                let res = redispatch_orphans(
-                                    Recovery {
-                                        tasks: &tasks,
-                                        is_gpu: &is_gpu,
-                                        alive: &mut alive,
-                                        queue: &mut queue,
-                                        in_flight: &mut in_flight,
-                                        private_tx: &mut private_tx,
-                                        shared_tx: shared_tx.as_ref(),
-                                        done: &done,
-                                        retries: &mut retries,
-                                        max_retries: config.max_task_retries,
-                                        completed,
-                                        n_tasks,
-                                        ds: &mut ds,
-                                        obs: &obs,
-                                    },
-                                    orphans,
-                                );
-                                if let Err(e) = res {
-                                    error = Some(e);
-                                }
-                                last_activity = Instant::now();
-                            }
-                        } else {
-                            for w in 0..workers.len() {
-                                if error.is_some() {
-                                    break;
-                                }
-                                if alive[w] && in_flight[w].is_some() && now >= deadlines[w] {
-                                    alive[w] = false;
-                                    private_tx[w] = None;
-                                    obs.instant(
-                                        Track::Faults,
-                                        "worker_death",
-                                        &[("worker", w as f64), ("reason", DEATH_TIMEOUT)],
-                                    );
-                                    obs.counter("workers_lost", 1.0);
-                                    let mut orphans: Vec<usize> = Vec::new();
-                                    if let Some(t) = in_flight[w].take() {
-                                        orphans.push(t);
-                                    }
-                                    orphans.append(&mut queue[w]);
-                                    let res = redispatch_orphans(
-                                        Recovery {
-                                            tasks: &tasks,
-                                            is_gpu: &is_gpu,
-                                            alive: &mut alive,
-                                            queue: &mut queue,
-                                            in_flight: &mut in_flight,
-                                            private_tx: &mut private_tx,
-                                            shared_tx: None,
-                                            done: &done,
-                                            retries: &mut retries,
-                                            max_retries: config.max_task_retries,
-                                            completed,
-                                            n_tasks,
-                                            ds: &mut ds,
-                                            obs: &obs,
-                                        },
-                                        orphans,
-                                    );
-                                    match res {
-                                        Ok(()) => refresh_deadlines!(),
-                                        Err(e) => error = Some(e),
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        // Every worker thread has exited with work
-                        // still outstanding.
-                        error = Some(SearchError::AllWorkersDead {
-                            completed,
-                            total: n_tasks,
-                        });
-                    }
-                }
-            }
-            obs.span(
-                Track::Master,
-                "merge",
-                t_merge,
-                obs.now() - t_merge,
-                None,
-                &[("results", completed as f64)],
-            );
-        }
-
-        // Shut every queue so surviving worker threads drain out and
-        // the scope join below completes — on success and error alike.
-        private_tx.clear();
-        shared_tx = None;
+        master.finish()
     });
     let wall_seconds = start.elapsed().as_secs_f64();
-    if let Some(e) = error {
-        return Err(e);
-    }
-    debug_assert_eq!(results.len(), n_tasks, "every task reported exactly once");
-
-    // Per-query hits.
-    let mut hits: Vec<Option<QueryHits>> = vec![None; n_tasks];
-    let mut stats: Vec<WorkerStats> = workers
-        .iter()
-        .enumerate()
-        .map(|(worker_id, spec)| WorkerStats {
-            worker_id,
-            description: spec.description(),
-            tasks: 0,
-            busy_wall: 0.0,
-            busy_modelled: 0.0,
-            cells: 0,
-        })
-        .collect();
-    for r in &results {
-        hits[r.task_id] = Some(top_k_hits(r.task_id, &r.scores, config.top_k));
-        let s = &mut stats[r.worker_id];
-        s.tasks += 1;
-        s.busy_wall += r.wall_seconds;
-        s.busy_modelled += r.modelled_seconds;
-        s.cells += r.cells;
-    }
-    let hits: Vec<QueryHits> = hits.into_iter().map(|h| h.expect("all merged")).collect();
-    let modelled_makespan = stats.iter().map(|s| s.busy_modelled).fold(0.0, f64::max);
-
-    Ok(SearchOutcome {
-        hits,
-        worker_stats: stats,
+    result.map(|outcome| SearchOutcome {
         wall_seconds,
-        modelled_makespan,
-        total_cells,
-        schedule,
+        ..outcome
     })
 }
 
-/// Execute a full database search on the given workers.
-///
-/// Thin wrapper over [`try_run_search`] for call sites that treat any
-/// [`SearchError`] as fatal.
-///
-/// # Panics
-/// Panics when the search returns an error (no workers, platform lost,
-/// retry budget exhausted) or a query/database is inconsistent with
-/// the scheme's alphabet.
-pub fn run_search(
-    database: SequenceSet,
-    queries: SequenceSet,
+/// Journal who registered as what, and close the job queue of every
+/// worker that did not register so its thread — if it is somehow still
+/// there — exits.
+fn close_registration(
     workers: &[WorkerSpec],
-    config: RuntimeConfig,
-) -> SearchOutcome {
-    match try_run_search(database, queries, workers, config) {
-        Ok(outcome) => outcome,
-        Err(e) => panic!("search failed: {e}"),
+    registrations: &[Registration],
+    private: &mut [Option<channel::Sender<Job>>],
+    obs: &Obs,
+    t_register: f64,
+) {
+    for (w, tx) in private.iter_mut().enumerate() {
+        if !registrations.iter().any(|r| r.worker_id == w) {
+            *tx = None;
+            obs.instant(
+                Track::Faults,
+                "worker_lost_registration",
+                &[("worker", w as f64)],
+            );
+            obs.counter("workers_lost", 1.0);
+        }
     }
+    // The auditor attributes species (CPU/GPU) to worker tracks from
+    // these.
+    for r in registrations {
+        obs.instant(
+            Track::Master,
+            "worker_registered",
+            &[
+                ("worker", r.worker_id as f64),
+                ("is_gpu", if r.is_gpu { 1.0 } else { 0.0 }),
+            ],
+        );
+    }
+    // Event args are numeric, so each worker's device class rides in
+    // the event name (`device_class:<name>`); the auditor parses it back
+    // out without the obs crate ever depending on the device zoo types.
+    if obs.is_enabled() {
+        for r in registrations {
+            let class = match workers[r.worker_id].device_class_of() {
+                Some(c) => c.name(),
+                None if r.is_gpu => "custom",
+                None => "cpu",
+            };
+            obs.instant(
+                Track::Master,
+                &format!("device_class:{class}"),
+                &[("worker", r.worker_id as f64)],
+            );
+        }
+    }
+    phase_span(
+        obs,
+        "register",
+        t_register,
+        &[
+            ("workers", workers.len() as f64),
+            ("registered", registrations.len() as f64),
+        ],
+    );
 }
 
 #[cfg(test)]
@@ -1521,7 +1315,8 @@ mod tests {
             WorkerSpec::cpu_default(),
             WorkerSpec::gpu_default(),
         ];
-        let outcome = run_search(database, queries, &workers, RuntimeConfig::default());
+        let outcome =
+            try_run_search(database, queries, &workers, RuntimeConfig::default()).expect("search");
         assert_eq!(outcome.hits.len(), 4);
         // Each query is an exact copy of a database entry: its top hit
         // must be that entry.
@@ -1539,13 +1334,14 @@ mod tests {
         let database = db(16, 90);
         let queries = queries_from(&database, &[0, 5, 9]);
         let workers = vec![WorkerSpec::cpu_default(), WorkerSpec::gpu_default()];
-        let a = run_search(
+        let a = try_run_search(
             database.clone(),
             queries.clone(),
             &workers,
             RuntimeConfig::default(),
-        );
-        let b = run_search(
+        )
+        .expect("search");
+        let b = try_run_search(
             database,
             queries,
             &workers,
@@ -1553,7 +1349,8 @@ mod tests {
                 policy: AllocationPolicy::SelfScheduling,
                 ..RuntimeConfig::default()
             },
-        );
+        )
+        .expect("search");
         // Allocation changes, results must not.
         assert_eq!(a.hits, b.hits);
         assert!(b.schedule.is_none());
@@ -1568,12 +1365,13 @@ mod tests {
             vec![WorkerSpec::gpu_default()],
             vec![WorkerSpec::gpu_default(), WorkerSpec::gpu_default()],
         ] {
-            let outcome = run_search(
+            let outcome = try_run_search(
                 database.clone(),
                 queries.clone(),
                 &workers,
                 RuntimeConfig::default(),
-            );
+            )
+            .expect("search");
             assert_eq!(outcome.hits[0].hits[0].db_index, 1);
             assert_eq!(outcome.hits[1].hits[0].db_index, 2);
             // All tasks accounted for.
@@ -1591,7 +1389,8 @@ mod tests {
             WorkerSpec::gpu_default(),
             WorkerSpec::gpu_default(),
         ];
-        let outcome = run_search(database, queries, &workers, RuntimeConfig::default());
+        let outcome =
+            try_run_search(database, queries, &workers, RuntimeConfig::default()).expect("search");
         let tasks: usize = outcome.worker_stats.iter().map(|s| s.tasks).sum();
         assert_eq!(tasks, 5);
         let cells: u64 = outcome.worker_stats.iter().map(|s| s.cells).sum();
@@ -1608,36 +1407,10 @@ mod tests {
     }
 
     #[test]
-    fn multi_round_policy_gives_identical_hits() {
-        let database = db(18, 70);
-        let queries = queries_from(&database, &[2, 6, 10, 14]);
-        let workers = vec![WorkerSpec::cpu_default(), WorkerSpec::gpu_default()];
-        let one = run_search(
-            database.clone(),
-            queries.clone(),
-            &workers,
-            RuntimeConfig::default(),
-        );
-        let multi = run_search(
-            database,
-            queries,
-            &workers,
-            RuntimeConfig {
-                policy: AllocationPolicy::MultiRound { rounds: 2 },
-                ..RuntimeConfig::default()
-            },
-        );
-        assert_eq!(one.hits, multi.hits);
-        assert!(multi.schedule.is_some());
-        let tasks: usize = multi.worker_stats.iter().map(|s| s.tasks).sum();
-        assert_eq!(tasks, 4);
-    }
-
-    #[test]
     fn top_k_truncates_hit_lists() {
         let database = db(30, 50);
         let queries = queries_from(&database, &[7]);
-        let outcome = run_search(
+        let outcome = try_run_search(
             database,
             queries,
             &[WorkerSpec::cpu_default()],
@@ -1645,21 +1418,14 @@ mod tests {
                 top_k: 5,
                 ..RuntimeConfig::default()
             },
-        );
+        )
+        .expect("search");
         assert_eq!(outcome.hits[0].hits.len(), 5);
         // Scores are sorted descending.
         let scores: Vec<i32> = outcome.hits[0].hits.iter().map(|h| h.score).collect();
         let mut sorted = scores.clone();
         sorted.sort_unstable_by(|a, b| b.cmp(a));
         assert_eq!(scores, sorted);
-    }
-
-    #[test]
-    #[should_panic]
-    fn no_workers_panics() {
-        let database = db(2, 10);
-        let queries = queries_from(&database, &[0]);
-        let _ = run_search(database, queries, &[], RuntimeConfig::default());
     }
 
     #[test]
@@ -1681,11 +1447,12 @@ mod tests {
         let database = db(10, 60);
         let queries = queries_from(&database, &[0, 3, 6, 9]);
         let db_residues = database.total_residues();
+        let lens: Vec<usize> = queries.iter().map(|q| q.len()).collect();
         for (cpu, gpu) in [
             (Some(crate::estimator::WorkerRateModel::cpu_swipe()), None),
             (None, Some(crate::estimator::WorkerRateModel::gpu_tesla())),
         ] {
-            let tasks = build_tasks(&queries, db_residues, cpu, gpu);
+            let tasks = build_tasks(&lens, db_residues, cpu, gpu);
             let mut area = 0.0;
             for t in tasks.iter() {
                 assert!(t.p_cpu.is_finite() && t.p_cpu > 0.0);
@@ -1717,7 +1484,7 @@ mod tests {
         let queries = queries_from(&database, &[1, 5, 9, 13]);
         let workers = vec![WorkerSpec::cpu_default(), WorkerSpec::gpu_default()];
         let obs = Obs::enabled();
-        let outcome = run_search(
+        let outcome = try_run_search(
             database,
             queries,
             &workers,
@@ -1725,7 +1492,8 @@ mod tests {
                 obs: obs.clone(),
                 ..RuntimeConfig::default()
             },
-        );
+        )
+        .expect("search");
         let events = obs.events();
         // Every master phase appears exactly once.
         for phase in ["register", "allocate", "dispatch", "merge"] {
@@ -1788,12 +1556,13 @@ mod tests {
     fn empty_query_set_is_fine() {
         let database = db(4, 20);
         let queries = SequenceSet::new(Alphabet::Protein);
-        let outcome = run_search(
+        let outcome = try_run_search(
             database,
             queries,
             &[WorkerSpec::cpu_default()],
             RuntimeConfig::default(),
-        );
+        )
+        .expect("search");
         assert!(outcome.hits.is_empty());
         assert_eq!(outcome.total_cells, 0);
     }
@@ -1820,14 +1589,15 @@ mod tests {
         let database = db(20, 100);
         let queries = queries_from(&database, &[1, 5, 9, 13, 17]);
         let workers = vec![WorkerSpec::cpu_default(), WorkerSpec::gpu_default()];
-        let healthy = run_search(
+        let healthy = try_run_search(
             database.clone(),
             queries.clone(),
             &workers,
             RuntimeConfig::default(),
-        );
+        )
+        .expect("search");
         let obs = Obs::enabled();
-        let faulted = run_search(
+        let faulted = try_run_search(
             database,
             queries,
             &workers,
@@ -1837,7 +1607,8 @@ mod tests {
                     FaultPlan::none().with(1, WorkerFault::DeviceFault { after_kernels: 1 }),
                 )
             },
-        );
+        )
+        .expect("search");
         assert_eq!(faulted.hits, healthy.hits, "faults must not change hits");
         // The GPU completed exactly its one kernel before dying.
         assert_eq!(faulted.worker_stats[1].tasks, 1);
@@ -1868,13 +1639,14 @@ mod tests {
         let database = db(16, 80);
         let queries = queries_from(&database, &[0, 4, 8, 12]);
         let workers = vec![WorkerSpec::cpu_default(), WorkerSpec::cpu_default()];
-        let healthy = run_search(
+        let healthy = try_run_search(
             database.clone(),
             queries.clone(),
             &workers,
             RuntimeConfig::default(),
-        );
-        let faulted = run_search(
+        )
+        .expect("search");
+        let faulted = try_run_search(
             database,
             queries,
             &workers,
@@ -1885,7 +1657,8 @@ mod tests {
                     notify: true,
                 },
             )),
-        );
+        )
+        .expect("search");
         assert_eq!(faulted.hits, healthy.hits);
         assert_eq!(faulted.worker_stats[0].tasks, 0);
         assert_eq!(faulted.worker_stats[1].tasks, 4);
@@ -1896,14 +1669,15 @@ mod tests {
         let database = db(16, 80);
         let queries = queries_from(&database, &[0, 4, 8, 12]);
         let workers = vec![WorkerSpec::cpu_default(), WorkerSpec::cpu_default()];
-        let healthy = run_search(
+        let healthy = try_run_search(
             database.clone(),
             queries.clone(),
             &workers,
             RuntimeConfig::default(),
-        );
+        )
+        .expect("search");
         let obs = Obs::enabled();
-        let faulted = run_search(
+        let faulted = try_run_search(
             database,
             queries,
             &workers,
@@ -1917,7 +1691,8 @@ mod tests {
                     },
                 ))
             },
-        );
+        )
+        .expect("search");
         assert_eq!(faulted.hits, healthy.hits);
         assert_eq!(faulted.worker_stats[1].tasks, 0);
         // The death was found by deadline, not notification.
@@ -1935,13 +1710,14 @@ mod tests {
         let database = db(12, 60);
         let queries = queries_from(&database, &[0, 3, 6]);
         let workers = vec![WorkerSpec::cpu_default(), WorkerSpec::cpu_default()];
-        let healthy = run_search(
+        let healthy = try_run_search(
             database.clone(),
             queries.clone(),
             &workers,
             RuntimeConfig::default(),
-        );
-        let faulted = run_search(
+        )
+        .expect("search");
+        let faulted = try_run_search(
             database,
             queries,
             &workers,
@@ -1952,7 +1728,8 @@ mod tests {
                     factor: 2.0,
                 },
             )),
-        );
+        )
+        .expect("search");
         // Whether the straggler's own late results or the re-dispatched
         // copies land first, the hits are identical.
         assert_eq!(faulted.hits, healthy.hits);
@@ -1964,7 +1741,7 @@ mod tests {
         let queries = queries_from(&database, &[2, 7]);
         let workers = vec![WorkerSpec::gpu_default(), WorkerSpec::cpu_default()];
         let obs = Obs::enabled();
-        let outcome = run_search(
+        let outcome = try_run_search(
             database,
             queries,
             &workers,
@@ -1972,7 +1749,8 @@ mod tests {
                 obs: obs.clone(),
                 ..fault_config(FaultPlan::none().with(0, WorkerFault::CrashBeforeRegistration))
             },
-        );
+        )
+        .expect("search");
         assert_eq!(outcome.hits[0].hits[0].db_index, 2);
         assert_eq!(outcome.hits[1].hits[0].db_index, 7);
         assert_eq!(outcome.worker_stats[0].tasks, 0);
@@ -1992,13 +1770,14 @@ mod tests {
             WorkerSpec::gpu_default(),
             WorkerSpec::gpu_default(),
         ];
-        let healthy = run_search(
+        let healthy = try_run_search(
             database.clone(),
             queries.clone(),
             &workers,
             RuntimeConfig::default(),
-        );
-        let faulted = run_search(
+        )
+        .expect("search");
+        let faulted = try_run_search(
             database,
             queries,
             &workers,
@@ -2007,7 +1786,8 @@ mod tests {
                     .with(1, WorkerFault::DeviceFault { after_kernels: 0 })
                     .with(2, WorkerFault::DeviceFault { after_kernels: 0 }),
             ),
-        );
+        )
+        .expect("search");
         assert_eq!(faulted.hits, healthy.hits);
         assert_eq!(faulted.worker_stats[0].tasks, 4, "CPU carried everything");
     }
@@ -2090,13 +1870,14 @@ mod tests {
         let database = db(16, 80);
         let queries = queries_from(&database, &[0, 4, 8, 12]);
         let workers = vec![WorkerSpec::cpu_default(), WorkerSpec::cpu_default()];
-        let healthy = run_search(
+        let healthy = try_run_search(
             database.clone(),
             queries.clone(),
             &workers,
             RuntimeConfig::default(),
-        );
-        let faulted = run_search(
+        )
+        .expect("search");
+        let faulted = try_run_search(
             database,
             queries,
             &workers,
@@ -2110,7 +1891,8 @@ mod tests {
                     },
                 ))
             },
-        );
+        )
+        .expect("search");
         assert_eq!(faulted.hits, healthy.hits);
     }
 
@@ -2125,20 +1907,22 @@ mod tests {
             WorkerSpec::cpu_default(),
             WorkerSpec::gpu_default(),
         ];
-        let healthy = run_search(
+        let healthy = try_run_search(
             database.clone(),
             queries.clone(),
             &workers,
             RuntimeConfig::default(),
-        );
+        )
+        .expect("search");
         for seed in [1u64, 7, 23] {
             let plan = FaultPlan::seeded(seed, workers.len());
-            let faulted = run_search(
+            let faulted = try_run_search(
                 database.clone(),
                 queries.clone(),
                 &workers,
                 fault_config(plan.clone()),
-            );
+            )
+            .expect("search");
             assert_eq!(faulted.hits, healthy.hits, "seed {seed} plan {plan}");
         }
     }
@@ -2185,14 +1969,15 @@ mod tests {
             WorkerSpec::cpu_default(),
             WorkerSpec::cpu_default(),
         ];
-        let off = run_search(
+        let off = try_run_search(
             database.clone(),
             queries.clone(),
             &workers,
             RuntimeConfig::default(),
-        );
+        )
+        .expect("search");
         let obs = Obs::enabled();
-        let on = run_search(
+        let on = try_run_search(
             database,
             queries,
             &workers,
@@ -2201,7 +1986,8 @@ mod tests {
                 reopt: ReoptConfig::enabled(),
                 ..RuntimeConfig::default()
             },
-        );
+        )
+        .expect("search");
         assert_eq!(on.hits, off.hits);
         assert!(
             !obs.events().iter().any(|e| e.name == "reopt_replan"),
@@ -2218,19 +2004,21 @@ mod tests {
         let database = db(24, 110);
         let queries = queries_from(&database, &[0, 2, 5, 8, 11, 14, 17, 20]);
         let workers = miscalibrated_zoo();
-        let healthy = run_search(
+        let healthy = try_run_search(
             database.clone(),
             queries.clone(),
             &workers,
             RuntimeConfig::default(),
-        );
+        )
+        .expect("search");
         let obs = Obs::enabled();
-        let reopt = run_search(
+        let reopt = try_run_search(
             database,
             queries,
             &workers,
             miscalibrated_config(true, obs.clone()),
-        );
+        )
+        .expect("search");
         assert_eq!(reopt.hits, healthy.hits, "re-planning must not change hits");
         let events = obs.events();
         assert!(
@@ -2260,18 +2048,20 @@ mod tests {
         let database = db(24, 110);
         let queries = queries_from(&database, &[0, 2, 5, 8, 11, 14, 17, 20]);
         let workers = miscalibrated_zoo();
-        let static_run = run_search(
+        let static_run = try_run_search(
             database.clone(),
             queries.clone(),
             &workers,
             miscalibrated_config(false, Obs::disabled()),
-        );
-        let reopt_run = run_search(
+        )
+        .expect("search");
+        let reopt_run = try_run_search(
             database,
             queries,
             &workers,
             miscalibrated_config(true, Obs::disabled()),
-        );
+        )
+        .expect("search");
         assert_eq!(reopt_run.hits, static_run.hits);
         let improvement = 1.0 - reopt_run.modelled_makespan / static_run.modelled_makespan;
         assert!(
@@ -2290,13 +2080,14 @@ mod tests {
         let database = db(18, 90);
         let queries = queries_from(&database, &[0, 3, 6, 9, 12, 15]);
         let workers = miscalibrated_zoo();
-        let healthy = run_search(
+        let healthy = try_run_search(
             database.clone(),
             queries.clone(),
             &workers,
             RuntimeConfig::default(),
-        );
-        let faulted = run_search(
+        )
+        .expect("search");
+        let faulted = try_run_search(
             database,
             queries,
             &workers,
@@ -2320,7 +2111,8 @@ mod tests {
                         ),
                 )
             },
-        );
+        )
+        .expect("search");
         assert_eq!(faulted.hits, healthy.hits);
     }
 

@@ -143,7 +143,7 @@ pub enum WorkerMsg {
 }
 
 /// Per-worker accounting the master reports at the end of a search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct WorkerStats {
     /// Worker id (registration order).
     pub worker_id: usize,

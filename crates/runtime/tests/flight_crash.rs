@@ -13,7 +13,7 @@ use swdual_bio::seq::{Sequence, SequenceSet};
 use swdual_bio::Alphabet;
 use swdual_obs::journal::{parse_journal, validate_header};
 use swdual_obs::{FlightRecorder, Obs};
-use swdual_runtime::{run_search, RuntimeConfig, WorkerSpec};
+use swdual_runtime::{try_run_search, RuntimeConfig, WorkerSpec};
 
 fn database(n: usize, len: usize, seed: u64) -> SequenceSet {
     let mut set = SequenceSet::new(Alphabet::Protein);
@@ -71,7 +71,7 @@ fn panicking_worker_leaves_a_parseable_crash_fragment() {
         min_job_timeout: Duration::from_millis(60),
         ..RuntimeConfig::default()
     };
-    let _ = run_search(db, queries, &workers, config);
+    let _ = try_run_search(db, queries, &workers, config).expect("search");
     assert!(flight.seen() > 0, "run should have recorded events");
 
     flight.install_panic_hook(&fallback);

@@ -14,7 +14,7 @@ use std::time::Duration;
 use swdual_bio::seq::{Sequence, SequenceSet};
 use swdual_bio::Alphabet;
 use swdual_runtime::master::AllocationPolicy;
-use swdual_runtime::{run_search, FaultPlan, RuntimeConfig, WorkerSpec};
+use swdual_runtime::{try_run_search, FaultPlan, RuntimeConfig, WorkerSpec};
 
 fn database(n: usize, len: usize, seed: u64) -> SequenceSet {
     let mut set = SequenceSet::new(Alphabet::Protein);
@@ -89,7 +89,7 @@ proptest! {
             RuntimeConfig::default().policy
         };
 
-        let healthy = run_search(
+        let healthy = try_run_search(
             db.clone(),
             queries.clone(),
             &pool,
@@ -97,12 +97,12 @@ proptest! {
                 policy,
                 ..RuntimeConfig::default()
             },
-        );
+        ).expect("search");
 
         // Seeded plans always spare at least one worker, so recovery
         // can always finish the workload.
         let plan = FaultPlan::seeded(fault_seed, pool.len());
-        let faulted = run_search(
+        let faulted = try_run_search(
             db,
             queries,
             &pool,
@@ -116,7 +116,7 @@ proptest! {
                 max_task_retries: 10,
                 ..RuntimeConfig::default()
             },
-        );
+        ).expect("search");
 
         prop_assert_eq!(
             &faulted.hits, &healthy.hits,

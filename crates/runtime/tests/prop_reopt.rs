@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use swdual_bio::seq::{Sequence, SequenceSet};
 use swdual_bio::Alphabet;
 use swdual_runtime::master::ReoptConfig;
-use swdual_runtime::{run_search, FaultPlan, RuntimeConfig, WorkerFault, WorkerSpec};
+use swdual_runtime::{try_run_search, FaultPlan, RuntimeConfig, WorkerFault, WorkerSpec};
 use swdual_sched::binsearch::BinarySearchConfig;
 use swdual_sched::{reschedule_remainder_weighted, Task, TaskSet, WorkerFactors};
 
@@ -122,17 +122,17 @@ proptest! {
         let queries = queries_from(&db, n_queries, data_seed ^ 0xABCD);
 
         // Static, fault-free, well-calibrated reference.
-        let reference = run_search(
+        let reference = try_run_search(
             db.clone(),
             queries.clone(),
             &static_pool,
             RuntimeConfig::default(),
-        );
+        ).expect("search");
 
         // Re-opt-enabled run on a miscalibrated pool with stragglers:
         // an aggressive threshold so re-planning actually triggers.
         let pool = miscalibrated_pool(cpus, gpus, fault_seed);
-        let reopt = run_search(
+        let reopt = try_run_search(
             db,
             queries,
             &pool,
@@ -145,7 +145,7 @@ proptest! {
                 },
                 ..RuntimeConfig::default()
             },
-        );
+        ).expect("search");
 
         prop_assert_eq!(
             &reopt.hits, &reference.hits,

@@ -7,7 +7,7 @@ use std::time::Duration;
 use swdual_bio::seq::{Sequence, SequenceSet};
 use swdual_bio::Alphabet;
 use swdual_obs::{Obs, Track};
-use swdual_runtime::{run_search, FaultPlan, RuntimeConfig, WorkerFault, WorkerSpec};
+use swdual_runtime::{try_run_search, FaultPlan, RuntimeConfig, WorkerFault, WorkerSpec};
 
 fn database(n: usize, len: usize, seed: u64) -> SequenceSet {
     let mut set = SequenceSet::new(Alphabet::Protein);
@@ -62,7 +62,7 @@ fn fault_run_trace_has_recovered_and_device_track_groups() {
         min_job_timeout: Duration::from_millis(60),
         ..RuntimeConfig::default()
     };
-    let _ = run_search(db, queries, &workers, config);
+    let _ = try_run_search(db, queries, &workers, config).expect("search");
 
     let events = obs.events();
     assert!(events
