@@ -80,9 +80,10 @@ USAGE:
   swdual generate --sequences N --mean-len L --output FILE [--seed S]
   swdual info     --db FILE
 
-Database/query files may be FASTA (.fasta/.fa) or SQB (.sqb). The
-journal readers (`analyze`, `explain`, `tail`) accept `-` to read the
-journal from stdin.
+Database/query files may be FASTA (.fasta/.fa) or SQB (.sqb). Every
+journal command (`analyze`, `explain`, `profile`, `top`, `tail`,
+`diff`) accepts `-` for a journal read from stdin. A flag the command
+does not know is an error (exit status 2), never silently ignored.
 
 Watching a run live:
   --watchdog           run the incremental anomaly watchdog during the
@@ -171,30 +172,76 @@ as long as one worker survives):
                        (always spares at least one worker)"
 }
 
-/// Parse `--key value` pairs after the subcommand.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i]
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected --flag, got {:?}", args[i]))?;
-        // Boolean flags.
-        if matches!(
-            key,
-            "evalues" | "progress" | "json" | "text" | "profile" | "reopt" | "watchdog"
-        ) {
-            flags.insert(key.to_string(), "true".to_string());
-            i += 1;
-            continue;
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("flag --{key} needs a value"))?;
-        flags.insert(key.to_string(), value.clone());
-        i += 2;
+/// A command's parsed arguments: flags by name (a switch maps to
+/// `"true"`) and positional paths in order.
+struct Args {
+    flags: HashMap<String, String>,
+    paths: Vec<String>,
+}
+
+impl Args {
+    fn get(&self, key: &str) -> Option<&str> {
+        self.flags.get(key).map(String::as_str)
     }
-    Ok(flags)
+
+    fn has(&self, key: &str) -> bool {
+        self.flags.contains_key(key)
+    }
+
+    /// The single positional path of a journal command; `usage` is the
+    /// error when there is not exactly one.
+    fn path(&self, usage: &str) -> Result<&str, String> {
+        match self.paths.as_slice() {
+            [path] => Ok(path),
+            _ => Err(usage.to_string()),
+        }
+    }
+
+    /// Whether `--json` was asked for; `--text` is the default and the
+    /// two exclude each other.
+    fn json(&self) -> Result<bool, String> {
+        if self.has("json") && self.has("text") {
+            return Err("--json and --text are mutually exclusive".into());
+        }
+        Ok(self.has("json"))
+    }
+}
+
+/// Parse the arguments after command `cmd`. `--NAME` is a switch when
+/// listed in `switches`, and takes the next argument as its value when
+/// listed in `options`; `-o` means `--out`. A bare `-` (stdin) or any
+/// argument not starting with `-` is a path. Every other flag is an
+/// error naming it.
+fn parse_args(
+    cmd: &str,
+    args: &[String],
+    switches: &[&str],
+    options: &[&str],
+) -> Result<Args, String> {
+    let mut parsed = Args {
+        flags: HashMap::new(),
+        paths: Vec::new(),
+    };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let key = match arg.as_str() {
+            "-o" => "out",
+            other => other.strip_prefix("--").unwrap_or(""),
+        };
+        if switches.contains(&key) {
+            parsed.flags.insert(key.to_string(), "true".to_string());
+        } else if options.contains(&key) {
+            let value = args
+                .next()
+                .ok_or_else(|| format!("flag {arg} needs a value"))?;
+            parsed.flags.insert(key.to_string(), value.clone());
+        } else if arg == "-" || !arg.starts_with('-') {
+            parsed.paths.push(arg.clone());
+        } else {
+            return Err(format!("unknown {cmd} flag {arg:?}"));
+        }
+    }
+    Ok(parsed)
 }
 
 /// Read a journal argument: `-` means stdin, anything else is a file.
@@ -221,7 +268,7 @@ fn load_set(path: &str) -> Result<SequenceSet, String> {
     }
 }
 
-fn cmd_search(flags: HashMap<String, String>) -> Result<(), String> {
+fn cmd_search(flags: &Args) -> Result<(), String> {
     let db_path = flags.get("db").ok_or("--db is required")?;
     let q_path = flags.get("queries").ok_or("--queries is required")?;
     let cpus: usize = flags
@@ -239,14 +286,14 @@ fn cmd_search(flags: HashMap<String, String>) -> Result<(), String> {
     let gap_extend: i32 = flags
         .get("gap-extend")
         .map_or(Ok(2), |v| v.parse().map_err(|_| "--gap-extend"))?;
-    let policy = match flags.get("policy").map(String::as_str).unwrap_or("dual") {
+    let policy = match flags.get("policy").unwrap_or("dual") {
         "dual" => AllocationPolicy::DualApprox(KnapsackMethod::Greedy),
         "dual-dp" => AllocationPolicy::DualApprox(KnapsackMethod::Dp(DpConfig::default())),
         "self" => AllocationPolicy::SelfScheduling,
         other => return Err(format!("unknown policy {other:?} (dual|dual-dp|self)")),
     };
     // Device zoo: which class each simulated GPU worker belongs to.
-    let gpu_classes: Vec<DeviceClass> = match flags.get("device-class").map(String::as_str) {
+    let gpu_classes: Vec<DeviceClass> = match flags.get("device-class") {
         None => vec![DeviceClass::C2050; gpus],
         Some("mixed") => DeviceClass::ALL.to_vec(),
         Some(spec) => {
@@ -257,7 +304,7 @@ fn cmd_search(flags: HashMap<String, String>) -> Result<(), String> {
             if list.len() == 1 {
                 vec![list[0]; gpus.max(1)]
             } else {
-                if flags.contains_key("gpus") && gpus != list.len() {
+                if flags.has("gpus") && gpus != list.len() {
                     return Err(format!(
                         "--gpus {} conflicts with the {}-entry --device-class list",
                         gpus,
@@ -324,9 +371,9 @@ fn cmd_search(flags: HashMap<String, String>) -> Result<(), String> {
     let trace_out = flags.get("trace-out");
     let metrics_out = flags.get("metrics-out");
     let journal_out = flags.get("journal-out");
-    let progress = flags.contains_key("progress");
-    let profile = flags.contains_key("profile");
-    let watchdog = flags.contains_key("watchdog");
+    let progress = flags.has("progress");
+    let profile = flags.has("profile");
+    let watchdog = flags.has("watchdog");
     let live_socket = flags.get("live-socket");
     let observe = trace_out.is_some()
         || metrics_out.is_some()
@@ -390,10 +437,7 @@ fn cmd_search(flags: HashMap<String, String>) -> Result<(), String> {
         let ms: u64 = ms.parse().map_err(|_| "--min-job-timeout-ms")?;
         builder = builder.min_job_timeout(std::time::Duration::from_millis(ms));
     }
-    if flags.contains_key("reopt")
-        || flags.contains_key("reopt-threshold")
-        || flags.contains_key("reopt-min-remaining")
-    {
+    if flags.has("reopt") || flags.has("reopt-threshold") || flags.has("reopt-min-remaining") {
         let mut reopt = ReoptConfig::enabled();
         if let Some(v) = flags.get("reopt-threshold") {
             reopt.threshold = v
@@ -421,7 +465,7 @@ fn cmd_search(flags: HashMap<String, String>) -> Result<(), String> {
     }
     if let Some(path) = live_socket {
         eprintln!("live: streaming journal on {path}");
-        builder = builder.live(path.clone());
+        builder = builder.live(path);
     }
     let reporter =
         progress.then(|| ProgressReporter::start(&obs, std::time::Duration::from_millis(250)));
@@ -447,7 +491,7 @@ fn cmd_search(flags: HashMap<String, String>) -> Result<(), String> {
         eprintln!("journal: wrote JSON-lines events to {path}");
     }
 
-    let evalues = flags.contains_key("evalues");
+    let evalues = flags.has("evalues");
     let stats = karlin::gapped_params(gap_open, gap_extend);
     if evalues && stats.is_none() {
         eprintln!(
@@ -499,43 +543,10 @@ fn emit(rendered: &str, out: Option<&str>, what: &str) -> Result<(), String> {
 }
 
 /// `swdual analyze EVENTS.jsonl [--json|--text] [-o FILE]` — audit a
-/// recorded journal against the scheduler's promises. Takes one
-/// positional path, so it parses its own arguments.
-fn cmd_analyze(args: &[String]) -> Result<(), String> {
-    let mut path: Option<&str> = None;
-    let mut json = false;
-    let mut text = false;
-    let mut out: Option<&str> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => json = true,
-            "--text" => text = true,
-            "-o" | "--out" => {
-                out = Some(
-                    args.get(i + 1)
-                        .ok_or_else(|| format!("flag {} needs a value", args[i]))?,
-                );
-                i += 1;
-            }
-            other if other.starts_with('-') && other != "-" => {
-                return Err(format!(
-                    "unknown analyze flag {other:?} (--json|--text|-o FILE)"
-                ))
-            }
-            other => {
-                if path.is_some() {
-                    return Err("analyze takes exactly one journal path".into());
-                }
-                path = Some(other);
-            }
-        }
-        i += 1;
-    }
-    let path = path.ok_or("usage: swdual analyze EVENTS.jsonl|- [--json|--text] [-o FILE]")?;
-    if json && text {
-        return Err("--json and --text are mutually exclusive".into());
-    }
+/// recorded journal against the scheduler's promises.
+fn cmd_analyze(args: &Args) -> Result<(), String> {
+    let path = args.path("usage: swdual analyze EVENTS.jsonl|- [--json|--text] [-o FILE]")?;
+    let json = args.json()?;
     let contents = read_input(path)?;
     let report =
         swdual_obs::analysis::analyze_journal(&contents).map_err(|e| format!("{path}: {e}"))?;
@@ -544,61 +555,21 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     } else {
         report.to_text()
     };
-    emit(&rendered, out, "analyze")
+    emit(&rendered, args.get("out"), "analyze")
 }
 
 /// `swdual explain EVENTS.jsonl [--what-if SPEC] [--json|--text]
 /// [-o FILE]` — reconstruct a run's causal lineage: critical path,
 /// blame attribution over the modelled makespan, and (with
 /// `--what-if`) a counterfactual replay of the recorded schedule.
-/// Takes one positional path, so it parses its own arguments (like
-/// `analyze`).
-fn cmd_explain(args: &[String]) -> Result<(), String> {
-    let mut path: Option<&str> = None;
-    let mut premise: Option<&str> = None;
-    let mut json = false;
-    let mut text = false;
-    let mut out: Option<&str> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => json = true,
-            "--text" => text = true,
-            "--what-if" | "-o" | "--out" => {
-                let key = args[i].clone();
-                let value = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("flag {key} needs a value"))?;
-                if key == "--what-if" {
-                    premise = Some(value);
-                } else {
-                    out = Some(value);
-                }
-                i += 1;
-            }
-            other if other.starts_with('-') && other != "-" => {
-                return Err(format!(
-                    "unknown explain flag {other:?} (--what-if SPEC|--json|--text|-o FILE)"
-                ))
-            }
-            other => {
-                if path.is_some() {
-                    return Err("explain takes exactly one journal path".into());
-                }
-                path = Some(other);
-            }
-        }
-        i += 1;
-    }
-    let path = path
-        .ok_or("usage: swdual explain EVENTS.jsonl|- [--what-if SPEC] [--json|--text] [-o FILE]")?;
-    if json && text {
-        return Err("--json and --text are mutually exclusive".into());
-    }
+fn cmd_explain(args: &Args) -> Result<(), String> {
+    let path = args
+        .path("usage: swdual explain EVENTS.jsonl|- [--what-if SPEC] [--json|--text] [-o FILE]")?;
+    let json = args.json()?;
     let contents = read_input(path)?;
     let report =
         swdual_obs::explain::explain_journal(&contents).map_err(|e| format!("{path}: {e}"))?;
-    let rendered = match premise {
+    let rendered = match args.get("what-if") {
         Some(spec) => {
             let spec = swdual_core::whatif::WhatIf::parse(spec)?;
             let answer = swdual_core::whatif::what_if(&report.replay, &spec)?;
@@ -616,59 +587,22 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
             }
         }
     };
-    emit(&rendered, out, "explain")
+    emit(&rendered, args.get("out"), "explain")
 }
 
 /// `swdual profile EVENTS.jsonl [--flame OUT] [--speedscope OUT]
 /// [--roofline] [--json] [-o FILE]` — fold a journal into flamegraph /
-/// speedscope / roofline views. Takes one positional path, so it
-/// parses its own arguments (like `analyze`).
-fn cmd_profile(args: &[String]) -> Result<(), String> {
-    let mut path: Option<&str> = None;
-    let mut flame: Option<&str> = None;
-    let mut speedscope: Option<&str> = None;
-    let mut roofline = false;
-    let mut json = false;
-    let mut out: Option<&str> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--roofline" => roofline = true,
-            "--json" => json = true,
-            "--flame" | "--speedscope" | "-o" | "--out" => {
-                let key = args[i].clone();
-                let value = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("flag {key} needs a value"))?;
-                match key.as_str() {
-                    "--flame" => flame = Some(value),
-                    "--speedscope" => speedscope = Some(value),
-                    _ => out = Some(value),
-                }
-                i += 1;
-            }
-            other if other.starts_with('-') => {
-                return Err(format!(
-                    "unknown profile flag {other:?} \
-                     (--flame|--speedscope|--roofline|--json|-o FILE)"
-                ))
-            }
-            other => {
-                if path.is_some() {
-                    return Err("profile takes exactly one journal path".into());
-                }
-                path = Some(other);
-            }
-        }
-        i += 1;
-    }
-    let path = path.ok_or(
-        "usage: swdual profile EVENTS.jsonl [--flame OUT.folded] [--speedscope OUT.json] \
+/// speedscope / roofline views.
+fn cmd_profile(args: &Args) -> Result<(), String> {
+    let path = args.path(
+        "usage: swdual profile EVENTS.jsonl|- [--flame OUT.folded] [--speedscope OUT.json] \
          [--roofline] [--json] [-o FILE]",
     )?;
-    let contents = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let (flame, speedscope, out) = (args.get("flame"), args.get("speedscope"), args.get("out"));
+    let json = args.has("json");
+    let contents = read_input(path)?;
     let events =
-        swdual_obs::analysis::parse_journal(&contents).map_err(|e| format!("{path}: {e}"))?;
+        swdual_obs::journal::parse_journal(&contents).map_err(|e| format!("{path}: {e}"))?;
     let profile = swdual_obs::profile::Profile::from_events(&events);
     if let Some(out) = flame {
         let folded = swdual_obs::export::flamegraph_folded(
@@ -685,7 +619,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     }
     // The roofline report is the default view when no export was
     // requested, and can always be asked for explicitly.
-    if roofline || json || out.is_some() || (flame.is_none() && speedscope.is_none()) {
+    if args.has("roofline") || json || out.is_some() || (flame.is_none() && speedscope.is_none()) {
         let report = profile.roofline();
         let rendered = if json {
             report.to_json()
@@ -794,32 +728,14 @@ fn top_follow_socket(
 /// per-worker dashboard. A Unix-socket source (a `--live-socket`
 /// search) is followed until the run ends; a journal file (or `-`)
 /// renders the run's final state once.
-fn cmd_top(args: &[String]) -> Result<(), String> {
-    let mut source: Option<&str> = None;
-    let mut refresh_ms: u64 = 250;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--refresh-ms" => {
-                refresh_ms = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--refresh-ms needs a millisecond count")?;
-                i += 1;
-            }
-            other if other.starts_with('-') && other != "-" => {
-                return Err(format!("unknown top flag {other:?} (--refresh-ms MS)"));
-            }
-            other => {
-                if source.is_some() {
-                    return Err("top takes exactly one source".into());
-                }
-                source = Some(other);
-            }
-        }
-        i += 1;
-    }
-    let source = source.ok_or("usage: swdual top SOCKET|EVENTS.jsonl [--refresh-ms MS]")?;
+fn cmd_top(args: &Args) -> Result<(), String> {
+    let source = args.path("usage: swdual top SOCKET|EVENTS.jsonl|- [--refresh-ms MS]")?;
+    let refresh_ms: u64 = match args.get("refresh-ms") {
+        Some(ms) => ms
+            .parse()
+            .map_err(|_| "--refresh-ms needs a millisecond count")?,
+        None => 250,
+    };
 
     // A regular file (or stdin) is a recorded journal: fold it whole
     // and render the end-of-run dashboard.
@@ -885,80 +801,44 @@ fn tail_emit(trimmed: &str, alerts_only: bool) {
 
 /// `swdual tail EVENTS.jsonl [--follow] [--alerts-only]` — stream a
 /// journal (or stdin with `-`) line by line; `--follow` keeps reading
-/// as the file grows, `--alerts-only` filters to watchdog alerts.
-fn cmd_tail(args: &[String]) -> Result<(), String> {
+/// as the file grows, `--alerts-only` filters to watchdog alerts. It
+/// reads line by line rather than through [`read_input`] so a journal
+/// piped from a live run (`nc -U SOCKET | swdual tail -`) prints as it
+/// arrives.
+fn cmd_tail(args: &Args) -> Result<(), String> {
     use std::io::BufRead;
 
-    let mut source: Option<&str> = None;
-    let mut follow = false;
-    let mut alerts_only = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--follow" => follow = true,
-            "--alerts-only" => alerts_only = true,
-            other if other.starts_with('-') && other != "-" => {
-                return Err(format!(
-                    "unknown tail flag {other:?} (--follow|--alerts-only)"
-                ));
-            }
-            other => {
-                if source.is_some() {
-                    return Err("tail takes exactly one journal path".into());
-                }
-                source = Some(other);
-            }
-        }
-        i += 1;
-    }
-    let source = source.ok_or("usage: swdual tail EVENTS.jsonl|- [--follow] [--alerts-only]")?;
-
-    let mut header_seen = false;
-    let mut handle_line = |trimmed: &str| -> Result<(), String> {
-        if trimmed.is_empty() {
-            return Ok(());
-        }
-        if header_seen {
-            tail_emit(trimmed, alerts_only);
-        } else {
-            swdual_obs::journal::validate_header(trimmed).map_err(|e| format!("{source}: {e}"))?;
-            header_seen = true;
-        }
-        Ok(())
+    let source = args.path("usage: swdual tail EVENTS.jsonl|- [--follow] [--alerts-only]")?;
+    let alerts_only = args.has("alerts-only");
+    // Stdin ends at its EOF; only a file can grow.
+    let follow = args.has("follow") && source != "-";
+    let mut reader: Box<dyn BufRead> = if source == "-" {
+        Box::new(std::io::stdin().lock())
+    } else {
+        let file = std::fs::File::open(source).map_err(|e| format!("{source}: {e}"))?;
+        Box::new(std::io::BufReader::new(file))
     };
-
-    if source == "-" {
-        let stdin = std::io::stdin();
-        for line in stdin.lock().lines() {
-            let line = line.map_err(|e| format!("stdin: {e}"))?;
-            handle_line(line.trim())?;
-        }
-        return Ok(());
-    }
-
-    let file = std::fs::File::open(source).map_err(|e| format!("{source}: {e}"))?;
-    let mut reader = std::io::BufReader::new(file);
+    let mut header_seen = false;
     let mut line = String::new();
     loop {
-        line.clear();
         match reader.read_line(&mut line) {
-            Ok(0) => {
-                if !follow {
-                    return Ok(());
-                }
-                std::thread::sleep(std::time::Duration::from_millis(100));
+            Ok(0) if follow => std::thread::sleep(std::time::Duration::from_millis(100)),
+            Ok(0) => return Ok(()),
+            // Torn tail while the writer is mid-line: keep the partial
+            // line buffered; the next read appends the rest.
+            Ok(_) if follow && !line.ends_with('\n') => {
+                std::thread::sleep(std::time::Duration::from_millis(50));
             }
             Ok(_) => {
-                if follow && !line.ends_with('\n') {
-                    // Torn tail while the writer is mid-line: back off
-                    // until the newline lands, then re-read the line.
-                    std::thread::sleep(std::time::Duration::from_millis(50));
-                    reader
-                        .seek_relative(-(line.len() as i64))
+                let trimmed = line.trim();
+                if !trimmed.is_empty() && header_seen {
+                    tail_emit(trimmed, alerts_only);
+                } else if !trimmed.is_empty() {
+                    swdual_obs::journal::validate_header(trimmed)
                         .map_err(|e| format!("{source}: {e}"))?;
-                    continue;
+                    header_seen = true;
                 }
-                handle_line(line.trim())?;
+                line.clear();
             }
             Err(e) => return Err(format!("{source}: {e}")),
         }
@@ -970,72 +850,29 @@ fn cmd_tail(args: &[String]) -> Result<(), String> {
 /// bench in the trend ledger) and optionally gate on regressions.
 /// Returns the process exit code so `--fail-on-regression` can fail
 /// the build after still printing the full report.
-fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
-    let mut paths: Vec<&str> = Vec::new();
-    let mut bench = false;
-    let mut bench_name: Option<&str> = None;
-    let mut profile = false;
-    let mut json = false;
-    let mut text = false;
-    let mut out: Option<&str> = None;
-    let mut fail_on_regression = false;
-    let mut exact_only = false;
-    let mut threshold: Option<f64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--bench" => bench = true,
-            "--profile" => profile = true,
-            "--json" => json = true,
-            "--text" => text = true,
-            "--fail-on-regression" => fail_on_regression = true,
-            "--exact-only" => exact_only = true,
-            "--bench-name" | "--threshold" | "-o" | "--out" => {
-                let key = args[i].clone();
-                let value = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("flag {key} needs a value"))?;
-                match key.as_str() {
-                    "--bench-name" => bench_name = Some(value.as_str()),
-                    "--threshold" => {
-                        threshold = Some(
-                            value
-                                .parse()
-                                .map_err(|_| "--threshold must be a percentage")?,
-                        )
-                    }
-                    _ => out = Some(value.as_str()),
-                }
-                i += 1;
-            }
-            other if other.starts_with('-') => {
-                return Err(format!(
-                    "unknown diff flag {other:?} (--bench|--bench-name NAME|--profile|\
-                     --json|--text|--threshold PCT|--fail-on-regression|--exact-only|-o FILE)"
-                ))
-            }
-            other => paths.push(other),
-        }
-        i += 1;
-    }
-    if json && text {
-        return Err("--json and --text are mutually exclusive".into());
-    }
+fn cmd_diff(args: &Args) -> Result<ExitCode, String> {
+    let json = args.json()?;
+    let bench_name = args.get("bench-name");
+    let exact_only = args.has("exact-only");
     let mut opts = swdual_obs::diff::DiffOptions {
-        include_profile: profile,
+        include_profile: args.has("profile"),
         ..Default::default()
     };
-    if let Some(pct) = threshold {
+    if let Some(pct) = args.get("threshold") {
+        let pct: f64 = pct
+            .parse()
+            .map_err(|_| "--threshold must be a percentage")?;
         if !(0.0..=100.0).contains(&pct) {
             return Err("--threshold must be a percentage in [0, 100]".into());
         }
         opts.wall_tolerance = pct / 100.0;
     }
-    let report = if bench {
+    let paths = &args.paths;
+    let report = if args.has("bench") {
         if paths.len() > 1 {
             return Err("diff --bench takes at most one ledger path".into());
         }
-        let ledger_path = paths.first().copied().unwrap_or("BENCH_trend.json");
+        let ledger_path = paths.first().map_or("BENCH_trend.json", String::as_str);
         let ledger = swdual_obs::trend::TrendLedger::load(std::path::Path::new(ledger_path))?;
         swdual_obs::trend::diff_trend(&ledger, bench_name, &opts)?
     } else {
@@ -1043,7 +880,7 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
             return Err("--bench-name only applies with --bench".into());
         }
         let (base_path, head_path) = match paths.as_slice() {
-            [base, head] => (*base, *head),
+            [base, head] => (base, head),
             _ => {
                 return Err(
                     "usage: swdual diff BASE.jsonl HEAD.jsonl [--profile] [--json|--text] \
@@ -1052,8 +889,8 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
                 )
             }
         };
-        let base = std::fs::read_to_string(base_path).map_err(|e| format!("{base_path}: {e}"))?;
-        let head = std::fs::read_to_string(head_path).map_err(|e| format!("{head_path}: {e}"))?;
+        let base = read_input(base_path)?;
+        let head = read_input(head_path)?;
         swdual_obs::diff::diff_journals(&base, &head, &opts)
             .map_err(|e| format!("{base_path} vs {head_path}: {e}"))?
     };
@@ -1062,8 +899,8 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     } else {
         report.to_text()
     };
-    emit(&rendered, out, "diff")?;
-    if fail_on_regression {
+    emit(&rendered, args.get("out"), "diff")?;
+    if args.has("fail-on-regression") {
         let regressed = report.regressions(exact_only);
         if !regressed.is_empty() {
             eprintln!(
@@ -1083,7 +920,7 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_convert(flags: HashMap<String, String>) -> Result<(), String> {
+fn cmd_convert(flags: &Args) -> Result<(), String> {
     let input = flags.get("input").ok_or("--input is required")?;
     let output = flags.get("output").ok_or("--output is required")?;
     let set = load_set(input)?;
@@ -1100,7 +937,7 @@ fn cmd_convert(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_generate(flags: HashMap<String, String>) -> Result<(), String> {
+fn cmd_generate(flags: &Args) -> Result<(), String> {
     let n: usize = flags
         .get("sequences")
         .ok_or("--sequences is required")?
@@ -1129,7 +966,7 @@ fn cmd_generate(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_info(flags: HashMap<String, String>) -> Result<(), String> {
+fn cmd_info(flags: &Args) -> Result<(), String> {
     let path = flags.get("db").ok_or("--db is required")?;
     let set = load_set(path)?;
     outln!("file:      {path}");
@@ -1155,51 +992,94 @@ fn main() -> ExitCode {
         eprintln!("{}", usage());
         return ExitCode::from(2);
     };
-    // `analyze`, `explain`, `profile`, `diff`, `top` and `tail` take
-    // positional journal paths and parse their own arguments; every other command
-    // uses `--key value` flags. `diff` picks its own exit code so
-    // `--fail-on-regression` can fail the build after printing the
-    // report.
-    if matches!(
-        cmd.as_str(),
-        "analyze" | "explain" | "profile" | "diff" | "top" | "tail"
-    ) {
-        let result = match cmd.as_str() {
-            "analyze" => cmd_analyze(&args[1..]).map(|()| ExitCode::SUCCESS),
-            "explain" => cmd_explain(&args[1..]).map(|()| ExitCode::SUCCESS),
-            "profile" => cmd_profile(&args[1..]).map(|()| ExitCode::SUCCESS),
-            "top" => cmd_top(&args[1..]).map(|()| ExitCode::SUCCESS),
-            "tail" => cmd_tail(&args[1..]).map(|()| ExitCode::SUCCESS),
-            _ => cmd_diff(&args[1..]),
-        };
-        return match result {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let flags = match parse_flags(&args[1..]) {
-        Ok(f) => f,
+    // Each command's switches and value-taking options; `analyze`,
+    // `explain`, `profile`, `top`, `tail` and `diff` also take
+    // positional journal paths.
+    let (switches, options): (&[&str], &[&str]) = match cmd.as_str() {
+        "search" => (
+            &["evalues", "progress", "profile", "reopt", "watchdog"],
+            &[
+                "db",
+                "queries",
+                "cpus",
+                "gpus",
+                "device-class",
+                "prior-scale",
+                "reopt-threshold",
+                "reopt-min-remaining",
+                "policy",
+                "top",
+                "gap-open",
+                "gap-extend",
+                "trace-out",
+                "metrics-out",
+                "journal-out",
+                "live-socket",
+                "fault-plan",
+                "fault-seed",
+                "job-timeout-slack",
+                "min-job-timeout-ms",
+            ],
+        ),
+        "analyze" => (&["json", "text"], &["out"]),
+        "explain" => (&["json", "text"], &["what-if", "out"]),
+        "profile" => (&["roofline", "json"], &["flame", "speedscope", "out"]),
+        "top" => (&[], &["refresh-ms"]),
+        "tail" => (&["follow", "alerts-only"], &[]),
+        "diff" => (
+            &[
+                "bench",
+                "profile",
+                "json",
+                "text",
+                "fail-on-regression",
+                "exact-only",
+            ],
+            &["bench-name", "threshold", "out"],
+        ),
+        "convert" => (&[], &["input", "output"]),
+        "generate" => (&[], &["sequences", "mean-len", "output", "seed"]),
+        "info" => (&[], &["db"]),
+        "help" | "--help" | "-h" => {
+            outln!("{}", usage());
+            return ExitCode::SUCCESS;
+        }
+        other => {
+            eprintln!("error: unknown command {other:?}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let parsed = parse_args(cmd, &args[1..], switches, options).and_then(|parsed| {
+        let takes_paths = !matches!(cmd.as_str(), "search" | "convert" | "generate" | "info");
+        match parsed.paths.first() {
+            Some(path) if !takes_paths => Err(format!("expected --flag, got {path:?}")),
+            _ => Ok(parsed),
+        }
+    });
+    let args = match parsed {
+        Ok(args) => args,
         Err(e) => {
             eprintln!("error: {e}\n\n{}", usage());
             return ExitCode::from(2);
         }
     };
+    let ok = |()| ExitCode::SUCCESS;
+    // `diff` picks its own exit code so `--fail-on-regression` can fail
+    // the build after printing the report.
     let result = match cmd.as_str() {
-        "search" => cmd_search(flags),
-        "convert" => cmd_convert(flags),
-        "generate" => cmd_generate(flags),
-        "info" => cmd_info(flags),
-        "help" | "--help" | "-h" => {
-            outln!("{}", usage());
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}")),
+        "search" => cmd_search(&args).map(ok),
+        "analyze" => cmd_analyze(&args).map(ok),
+        "explain" => cmd_explain(&args).map(ok),
+        "profile" => cmd_profile(&args).map(ok),
+        "top" => cmd_top(&args).map(ok),
+        "tail" => cmd_tail(&args).map(ok),
+        "diff" => cmd_diff(&args),
+        "convert" => cmd_convert(&args).map(ok),
+        "generate" => cmd_generate(&args).map(ok),
+        _ => cmd_info(&args).map(ok),
     };
     match result {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(code) => code,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE

@@ -113,6 +113,50 @@ fn bad_usage_exits_nonzero() {
 }
 
 #[test]
+fn unknown_flags_are_usage_errors_naming_the_flag() {
+    let db = tmp("flags_db.fasta");
+    let out = swdual()
+        .args(["generate", "--sequences", "4", "--mean-len", "30"])
+        .args(["--output", db.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let db = db.to_str().unwrap();
+    // (misspelled flag, command line containing it)
+    for (flag, args) in [
+        (
+            "--gpu",
+            vec!["search", "--db", db, "--queries", db, "--gpu", "3"],
+        ),
+        (
+            "--lenght",
+            vec!["generate", "--sequences", "4", "--lenght", "30"],
+        ),
+        ("--jsn", vec!["analyze", "events.jsonl", "--jsn"]),
+        ("-f", vec!["tail", "events.jsonl", "-f"]),
+        (
+            "--treshold",
+            vec!["diff", "a.jsonl", "b.jsonl", "--treshold", "5"],
+        ),
+    ] {
+        let out = swdual().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("{flag:?}")), "{args:?}: {err}");
+    }
+    // Mutually exclusive renderings stay rejected.
+    for cmd in ["analyze", "explain", "diff"] {
+        let out = swdual()
+            .args([cmd, "a.jsonl", "--json", "--text"])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{cmd}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("mutually exclusive"), "{cmd}: {err}");
+    }
+}
+
+#[test]
 fn help_succeeds() {
     let out = swdual().arg("help").output().unwrap();
     assert!(out.status.success());

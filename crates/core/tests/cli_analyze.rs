@@ -167,7 +167,7 @@ fn journal_readers_accept_stdin_via_dash() {
     assert!(search.status.success(), "search failed: {search:?}");
     let contents = std::fs::read_to_string(&journal).unwrap();
 
-    // Each journal reader takes `-` and produces the same report as
+    // Each journal command takes `-` and produces the same report as
     // the file path would.
     let pipe = |args: &[&str]| {
         let mut child = swdual()
@@ -204,6 +204,18 @@ fn journal_readers_accept_stdin_via_dash() {
 
     let explained = pipe(&["explain", "-"]);
     assert!(explained.contains("2λ bound"), "{explained}");
+
+    let roofline = pipe(&["profile", "-", "--roofline"]);
+    assert!(roofline.contains("roofline report"), "{roofline}");
+
+    let journal_path = journal.to_str().unwrap();
+    let diffed = pipe(&["diff", journal_path, "-", "--json"]);
+    let diff: serde_json::Value = serde_json::from_str(&diffed).expect("diff - emits JSON");
+    assert_eq!(
+        diff.get("regressed").and_then(|v| v.as_u64()),
+        Some(0),
+        "a journal diffed against itself regresses nothing: {diffed}"
+    );
 
     let tailed = pipe(&["tail", "-"]);
     assert!(

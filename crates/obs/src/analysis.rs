@@ -17,17 +17,13 @@
 //!
 //! Journals start with a `{"schema":"swdual-journal/2",...}` header
 //! line (the previous `swdual-journal/1` still parses); anything else
-//! is rejected with a typed [`AnalysisError`] instead of garbage
+//! is rejected with a typed [`JournalError`] instead of garbage
 //! output.
 
-use crate::{Event, EventKind, Obs, Track};
+use crate::journal::{parse_journal_with_schema, JournalError, JOURNAL_SCHEMA};
+use crate::{Event, Obs, Track};
 use serde::Serialize;
 use std::collections::BTreeMap;
-
-// The schema tag, the header check and the line parser live in
-// [`crate::journal`], shared with the profiler and the differ; the
-// historical `analysis::` names keep working.
-pub use crate::journal::{parse_journal, JournalError as AnalysisError, JOURNAL_SCHEMA};
 
 /// One worker's share of the run.
 #[derive(Debug, Clone, Serialize)]
@@ -190,20 +186,19 @@ pub struct RunReport {
     pub alerts: Vec<FaultCount>,
 }
 
-fn arg(event: &Event, key: &str) -> Option<f64> {
-    event.args.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
-}
-
 /// Fold a recorded event stream into a [`RunReport`].
 pub fn analyze_obs(obs: &Obs) -> RunReport {
     analyze_events(&obs.events())
 }
 
 /// Parse and fold a JSON-lines journal (with schema header) into a
-/// [`RunReport`].
-pub fn analyze_journal(journal: &str) -> Result<RunReport, AnalysisError> {
-    let events = parse_journal(journal)?;
-    Ok(analyze_events(&events))
+/// [`RunReport`] that names the schema the journal declares.
+pub fn analyze_journal(journal: &str) -> Result<RunReport, JournalError> {
+    let (schema, events) = parse_journal_with_schema(journal)?;
+    Ok(RunReport {
+        schema: schema.to_string(),
+        ..analyze_events(&events)
+    })
 }
 
 /// The fold itself: one pass over events, then derived quantities.
@@ -255,37 +250,22 @@ pub fn analyze_events(events: &[Event]) -> RunReport {
     let mut iterations = 0usize;
     let mut has_bound = false;
 
-    let task_of = |event: &Event| -> i64 {
-        arg(event, "task")
-            .map(|t| t as i64)
-            .or_else(|| {
-                event
-                    .name
-                    .strip_prefix("task-")
-                    .and_then(|s| s.parse().ok())
-            })
-            .unwrap_or(-1)
-    };
-
     for event in events {
         match event.track {
-            Track::Worker(w) if event.kind == EventKind::Span => {
-                // Profiling phase spans subdivide a task span that is
-                // itself in the journal; counting them again would
-                // inflate busy time and the latency quantiles.
-                if event.is_profile_detail() {
-                    continue;
-                }
+            // Profiling phase spans subdivide a job span that is itself
+            // in the journal; counting them again would inflate busy
+            // time and the latency quantiles.
+            Track::Worker(w) if event.is_job() => {
                 let a = acc(&mut workers, w);
                 a.tasks += 1;
                 a.busy_wall += event.wall_dur;
-                a.cells += arg(event, "cells").unwrap_or(0.0);
-                a.queue_wait_wall += arg(event, "queue_wait_wall").unwrap_or(0.0);
-                a.queue_wait_modelled += arg(event, "queue_wait_modelled").unwrap_or(0.0);
+                a.cells += event.arg("cells").unwrap_or(0.0);
+                a.queue_wait_wall += event.arg("queue_wait_wall").unwrap_or(0.0);
+                a.queue_wait_modelled += event.arg("queue_wait_modelled").unwrap_or(0.0);
                 wall_durations.push(event.wall_dur);
                 wall_lo = wall_lo.min(event.wall_start);
                 wall_hi = wall_hi.max(event.wall_start + event.wall_dur);
-                let task = task_of(event);
+                let task = event.task().unwrap_or(-1);
                 done_tasks.push(task);
                 if let (Some(vs), Some(vd)) = (event.virt_start, event.virt_dur) {
                     let a = acc(&mut workers, w);
@@ -306,7 +286,7 @@ pub fn analyze_events(events: &[Event]) -> RunReport {
                 if let (Some(vs), Some(vd)) = (event.virt_start, event.virt_dur) {
                     let end = vs + vd;
                     planned_makespan = planned_makespan.max(end);
-                    let task = task_of(event);
+                    let task = event.task().unwrap_or(-1);
                     planned_end
                         .entry(task)
                         .and_modify(|e| *e = e.max(end))
@@ -317,7 +297,7 @@ pub fn analyze_events(events: &[Event]) -> RunReport {
                 }
             }
             Track::Recovered(_) => {
-                moved.push(task_of(event));
+                moved.push(event.task().unwrap_or(-1));
             }
             Track::Faults => {
                 if let Some(kind) = event.name.strip_prefix("alert_") {
@@ -326,34 +306,29 @@ pub fn analyze_events(events: &[Event]) -> RunReport {
                     *faults.entry(event.name.clone()).or_insert(0) += 1;
                 }
             }
-            Track::Scheduler if event.name == "binsearch_done" => {
-                has_bound = true;
-                lambda = arg(event, "lambda")
-                    .or_else(|| arg(event, "upper_bound"))
-                    .unwrap_or(0.0);
-                lower_bound = arg(event, "lower_bound").unwrap_or(0.0);
-                iterations = arg(event, "iterations").unwrap_or(0.0) as usize;
-            }
-            Track::Master if event.name == "worker_registered" => {
-                if let Some(w) = arg(event, "worker") {
-                    registered_gpu.insert(w as usize, arg(event, "is_gpu") == Some(1.0));
+            Track::Scheduler => {
+                if let Some(l) = event.lambda() {
+                    has_bound = true;
+                    lambda = l;
+                    lower_bound = event.arg("lower_bound").unwrap_or(0.0);
+                    iterations = event.arg("iterations").unwrap_or(0.0) as usize;
                 }
             }
-            Track::Master if event.name.starts_with("device_class:") => {
-                if let Some(w) = arg(event, "worker") {
-                    device_classes
-                        .insert(w as usize, event.name["device_class:".len()..].to_string());
-                }
-            }
-            Track::Master if event.name == "task_model" => {
-                if let Some(t) = arg(event, "task") {
-                    model.insert(
-                        t as i64,
-                        (
-                            arg(event, "p_cpu").unwrap_or(0.0),
-                            arg(event, "p_gpu").unwrap_or(0.0),
-                        ),
-                    );
+            Track::Master => {
+                if let Some((w, gpu)) = event.registration() {
+                    registered_gpu.insert(w, gpu);
+                } else if let (Some(class), Some(w)) = (event.device_class(), event.arg("worker")) {
+                    device_classes.insert(w as usize, class.to_string());
+                } else if event.name == "task_model" {
+                    if let Some(t) = event.arg("task") {
+                        model.insert(
+                            t as i64,
+                            (
+                                event.arg("p_cpu").unwrap_or(0.0),
+                                event.arg("p_gpu").unwrap_or(0.0),
+                            ),
+                        );
+                    }
                 }
             }
             _ => {}
@@ -831,19 +806,16 @@ mod tests {
         let headerless: String = journal.lines().skip(1).collect::<Vec<_>>().join("\n");
         assert_eq!(
             analyze_journal(&headerless).unwrap_err(),
-            AnalysisError::MissingHeader
+            JournalError::MissingHeader
         );
-        assert_eq!(
-            analyze_journal("").unwrap_err(),
-            AnalysisError::EmptyJournal
-        );
+        assert_eq!(analyze_journal("").unwrap_err(), JournalError::EmptyJournal);
     }
 
     #[test]
     fn wrong_schema_is_rejected_with_its_name() {
         let journal = "{\"schema\":\"swdual-journal/99\",\"events\":0}\n";
         match analyze_journal(journal).unwrap_err() {
-            AnalysisError::SchemaMismatch { found, expected } => {
+            JournalError::SchemaMismatch { found, expected } => {
                 assert_eq!(found, "swdual-journal/99");
                 assert!(expected.contains(JOURNAL_SCHEMA), "{expected}");
                 assert!(expected.contains("swdual-journal/1"), "{expected}");
@@ -856,7 +828,7 @@ mod tests {
     fn malformed_line_reports_its_number() {
         let journal = format!("{{\"schema\":\"{JOURNAL_SCHEMA}\",\"events\":1}}\nnot json\n");
         match analyze_journal(&journal).unwrap_err() {
-            AnalysisError::Malformed { line, .. } => assert_eq!(line, 2),
+            JournalError::Malformed { line, .. } => assert_eq!(line, 2),
             other => panic!("expected malformed, got {other:?}"),
         }
     }
@@ -994,6 +966,26 @@ mod tests {
         assert!((w.busy_wall - 1.0).abs() < 1e-12);
         assert!((w.busy_modelled - 2.0).abs() < 1e-12);
         assert_eq!(r.wall_latency.count, 1);
+    }
+
+    #[test]
+    fn v1_journals_are_reported_under_their_own_schema() {
+        let journal = format!(
+            "{{\"schema\":\"{}\",\"events\":2}}\n\
+             {{\"track\":\"scheduler\",\"name\":\"binsearch_done\",\"kind\":\"instant\",\
+             \"wall_start\":0.0,\"args\":{{\"upper_bound\":3.0}}}}\n\
+             {{\"track\":\"worker:0\",\"name\":\"task-4\",\"kind\":\"span\",\
+             \"wall_start\":0.0,\"wall_dur\":1.0,\"virt_start\":0.0,\"virt_dur\":2.0}}\n",
+            crate::journal::JOURNAL_SCHEMA_V1
+        );
+        let r = analyze_journal(&journal).expect("v1 journals parse");
+        assert_eq!(r.schema, "swdual-journal/1");
+        assert!(r.to_json().contains("\"schema\": \"swdual-journal/1\""));
+        assert!(r.to_text().contains("run report (swdual-journal/1)"));
+        // λ falls back to `upper_bound`; the job's task comes from its name.
+        assert_eq!(r.lambda, 3.0);
+        assert!(r.bound_holds);
+        assert_eq!(r.critical_task, 4);
     }
 
     #[test]

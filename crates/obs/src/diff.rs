@@ -288,13 +288,6 @@ pub fn classify(
 
 use Tolerance::{Exact, Quantile, Wall};
 
-/// Diff two folded [`RunReport`]s.
-pub fn diff_reports(base: &RunReport, head: &RunReport, opts: &DiffOptions) -> DiffReport {
-    let mut b = DiffBuilder::new(opts);
-    fold_run_reports(&mut b, base, head);
-    finish(b, Vec::new())
-}
-
 /// Diff two event streams: fold both into [`RunReport`]s (and, with
 /// [`DiffOptions::include_profile`], [`Profile`]s) and compare.
 pub fn diff_events(base: &[Event], head: &[Event], opts: &DiffOptions) -> DiffReport {

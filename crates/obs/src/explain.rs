@@ -27,7 +27,7 @@
 //! dispatch edges, no decision ids, transfer and queue wait fold into
 //! compute and imbalance. The report says so instead of guessing.
 
-use crate::journal::{journal_schema, parse_journal, JournalError, JOURNAL_SCHEMA};
+use crate::journal::{parse_journal_with_schema, JournalError, JOURNAL_SCHEMA};
 use crate::{Event, EventKind, Obs, Track};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -254,10 +254,6 @@ pub struct ExplainReport {
     pub replay: ReplayInput,
 }
 
-fn arg(event: &Event, key: &str) -> Option<f64> {
-    event.args.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
-}
-
 /// One executed job span, flattened for path walking and blame.
 struct Exec {
     worker: usize,
@@ -281,9 +277,7 @@ pub fn explain_obs(obs: &Obs) -> ExplainReport {
 /// Parse a JSON-lines journal and explain it. v1 journals produce a
 /// degraded (but valid) explanation.
 pub fn explain_journal(journal: &str) -> Result<ExplainReport, JournalError> {
-    let first = journal.lines().next().ok_or(JournalError::EmptyJournal)?;
-    let schema = journal_schema(first)?;
-    let events = parse_journal(journal)?;
+    let (schema, events) = parse_journal_with_schema(journal)?;
     Ok(explain_events(&events, schema))
 }
 
@@ -301,43 +295,28 @@ pub fn explain_events(events: &[Event], schema: &str) -> ExplainReport {
     let mut lambda = 0.0f64;
     let mut has_bound = false;
 
-    let task_of = |event: &Event| -> i64 {
-        arg(event, "task")
-            .map(|t| t as i64)
-            .or_else(|| {
-                event
-                    .name
-                    .strip_prefix("task-")
-                    .and_then(|s| s.parse().ok())
-            })
-            .unwrap_or(-1)
-    };
-
     for event in events {
         match event.track {
-            Track::Worker(w) if event.kind == EventKind::Span => {
-                if event.is_profile_detail() {
-                    continue;
-                }
+            Track::Worker(w) if event.is_job() => {
                 let (vs, vd) = match (event.virt_start, event.virt_dur) {
                     (Some(s), Some(d)) => (s, d),
                     _ => continue,
                 };
                 execs.push(Exec {
                     worker: w,
-                    task: task_of(event),
+                    task: event.task().unwrap_or(-1),
                     wall_start: event.wall_start,
                     wall_end: event.wall_start + event.wall_dur,
                     virt_start: vs,
                     virt_end: vs + vd,
-                    decision: arg(event, "decision").unwrap_or(0.0) as u64,
-                    queue_wait_wall: arg(event, "queue_wait_wall").unwrap_or(0.0),
-                    queue_wait_modelled: arg(event, "queue_wait_modelled").unwrap_or(0.0),
+                    decision: event.arg("decision").unwrap_or(0.0) as u64,
+                    queue_wait_wall: event.arg("queue_wait_wall").unwrap_or(0.0),
+                    queue_wait_modelled: event.arg("queue_wait_modelled").unwrap_or(0.0),
                     is_recovery: false,
                 });
             }
             Track::Device(_) if event.kind == EventKind::Span && event.name == "h2d_transfer" => {
-                if let (Some(t), Some(vd)) = (arg(event, "task"), event.virt_dur) {
+                if let (Some(t), Some(vd)) = (event.arg("task"), event.virt_dur) {
                     *h2d.entry(t as i64).or_insert(0.0) += vd;
                 }
             }
@@ -345,44 +324,37 @@ pub fn explain_events(events: &[Event], schema: &str) -> ExplainReport {
             // name a worker without that worker having faulted, so
             // they must not feed the fault fold.
             Track::Faults if !event.is_alert() => {
-                if let Some(w) = arg(event, "worker") {
+                if let Some(w) = event.arg("worker") {
                     faulted.push(w as usize);
                 }
             }
-            Track::Scheduler if event.name == "binsearch_done" => {
-                has_bound = true;
-                lambda = arg(event, "lambda")
-                    .or_else(|| arg(event, "upper_bound"))
-                    .unwrap_or(0.0);
-            }
-            Track::Master if event.kind == EventKind::Instant => match event.name.as_str() {
-                "worker_registered" => {
-                    if let Some(w) = arg(event, "worker") {
-                        registered_gpu.insert(w as usize, arg(event, "is_gpu") == Some(1.0));
-                    }
+            Track::Scheduler => {
+                if let Some(l) = event.lambda() {
+                    has_bound = true;
+                    lambda = l;
                 }
-                "task_dispatch" => saw_dispatch = true,
-                "task_model" => {
-                    if let Some(t) = arg(event, "task") {
+            }
+            Track::Master if event.kind == EventKind::Instant => {
+                if let Some((w, gpu)) = event.registration() {
+                    registered_gpu.insert(w, gpu);
+                } else if let (Some(class), Some(w)) = (event.device_class(), event.arg("worker")) {
+                    device_classes.insert(w as usize, class.to_string());
+                } else if event.name == "task_dispatch" {
+                    saw_dispatch = true;
+                } else if event.name == "task_model" {
+                    if let Some(t) = event.arg("task") {
                         model.insert(
                             t as i64,
                             (
-                                arg(event, "p_cpu").unwrap_or(0.0),
-                                arg(event, "p_gpu").unwrap_or(0.0),
-                                arg(event, "query_len").unwrap_or(0.0) as usize,
-                                arg(event, "cells").unwrap_or(0.0),
+                                event.arg("p_cpu").unwrap_or(0.0),
+                                event.arg("p_gpu").unwrap_or(0.0),
+                                event.arg("query_len").unwrap_or(0.0) as usize,
+                                event.arg("cells").unwrap_or(0.0),
                             ),
                         );
                     }
                 }
-                name if name.starts_with("device_class:") => {
-                    if let Some(w) = arg(event, "worker") {
-                        device_classes
-                            .insert(w as usize, name["device_class:".len()..].to_string());
-                    }
-                }
-                _ => {}
-            },
+            }
             _ => {}
         }
     }

@@ -43,7 +43,7 @@ pub fn journal_header(events: usize) -> String {
     serde_json::to_string(&Value::Object(vec![
         (
             "schema".to_string(),
-            Value::Str(crate::analysis::JOURNAL_SCHEMA.to_string()),
+            Value::Str(crate::journal::JOURNAL_SCHEMA.to_string()),
         ),
         ("events".to_string(), Value::UInt(events as u64)),
     ]))
@@ -496,25 +496,12 @@ pub fn chrome_trace(obs: &Obs) -> String {
     // recovered) placement → task_dispatch instant(s) → actual
     // execution. One flow per task id; journals without lineage
     // (v1, self-scheduling) simply contribute fewer arrows.
-    let task_arg = |event: &Event| -> Option<i64> {
-        event
-            .args
-            .iter()
-            .find(|(k, _)| k == "task")
-            .map(|(_, v)| *v as i64)
-            .or_else(|| {
-                event
-                    .name
-                    .strip_prefix("task-")
-                    .and_then(|s| s.parse().ok())
-            })
-    };
     let mut started: Vec<i64> = Vec::new();
     for event in &events {
         let tid = trace_tid(event.track);
         match event.track {
             Track::Planned(_) | Track::Recovered(_) => {
-                if let (Some(task), Some(vs)) = (task_arg(event), event.virt_start) {
+                if let (Some(task), Some(vs)) = (event.task(), event.virt_start) {
                     if !started.contains(&task) {
                         started.push(task);
                         let pid = if matches!(event.track, Track::Planned(_)) {
@@ -527,7 +514,7 @@ pub fn chrome_trace(obs: &Obs) -> String {
                 }
             }
             Track::Master if event.name == "task_dispatch" => {
-                if let Some(task) = task_arg(event) {
+                if let Some(task) = event.task() {
                     let ph = if started.contains(&task) {
                         "t"
                     } else {
@@ -537,8 +524,8 @@ pub fn chrome_trace(obs: &Obs) -> String {
                     trace.push(flow_event(ph, PID_WALL, tid, event.wall_start, task));
                 }
             }
-            Track::Worker(_) if event.kind == EventKind::Span && !event.is_profile_detail() => {
-                if let Some(task) = task_arg(event) {
+            _ if event.is_job() => {
+                if let Some(task) = event.task() {
                     if started.contains(&task) {
                         trace.push(flow_event("f", PID_WALL, tid, event.wall_start, task));
                     }
@@ -690,7 +677,7 @@ mod tests {
         let header: Value = serde_json::from_str(lines[0]).expect("header parses");
         assert_eq!(
             header.get("schema").and_then(Value::as_str),
-            Some(crate::analysis::JOURNAL_SCHEMA)
+            Some(crate::journal::JOURNAL_SCHEMA)
         );
         assert_eq!(header.get("events").and_then(Value::as_u64), Some(4));
         for line in &lines[1..] {

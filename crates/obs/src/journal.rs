@@ -1,10 +1,13 @@
 //! Journal parsing shared by every journal consumer.
 //!
-//! `swdual analyze`, `swdual profile` and `swdual diff` all read the
-//! same JSON-lines format: a `{"schema":"swdual-journal/1",...}` header
-//! line followed by one event object per line. This module owns the
-//! schema tag, the header check and the line parser so the three
-//! consumers cannot drift apart on what a valid journal is.
+//! Every journal command (`swdual analyze`, `explain`, `profile`,
+//! `top`, `tail` and `diff`) reads the same JSON-lines format: a
+//! `{"schema":"swdual-journal/2",...}` header line followed by one
+//! event object per line. This module owns the schema tag, the header
+//! check and the line parser so the consumers cannot drift apart on
+//! what a valid journal is. What an event *means* (its task, whether
+//! it is a job, the λ or registration it carries) is decoded by the
+//! accessors on [`Event`], shared by every fold the same way.
 
 use crate::{Event, EventKind, Track};
 use serde::Value;
@@ -107,9 +110,18 @@ pub fn journal_schema(first_line: &str) -> Result<&'static str, JournalError> {
 
 /// Parse a journal back into events, validating the schema header.
 pub fn parse_journal(journal: &str) -> Result<Vec<Event>, JournalError> {
+    parse_journal_with_schema(journal).map(|(_, events)| events)
+}
+
+/// Parse a journal into the schema tag its header declares and its
+/// events — for reports that name the schema they read (v1 journals
+/// keep their own tag).
+pub fn parse_journal_with_schema(
+    journal: &str,
+) -> Result<(&'static str, Vec<Event>), JournalError> {
     let mut lines = journal.lines().enumerate();
     let (_, header) = lines.next().ok_or(JournalError::EmptyJournal)?;
-    validate_header(header)?;
+    let schema = journal_schema(header)?;
 
     let mut events = Vec::new();
     for (idx, line) in lines {
@@ -118,7 +130,7 @@ pub fn parse_journal(journal: &str) -> Result<Vec<Event>, JournalError> {
         }
         events.push(parse_event_line_at(line, idx + 1)?);
     }
-    Ok(events)
+    Ok((schema, events))
 }
 
 /// Parse one journal event line (anything after the header). Streaming

@@ -152,6 +152,56 @@ impl Event {
     pub fn is_alert(&self) -> bool {
         self.track == Track::Faults && self.name.starts_with("alert_")
     }
+
+    /// The numeric annotation `key`, if the event carries one.
+    pub fn arg(&self, key: &str) -> Option<f64> {
+        self.args.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
+    }
+
+    /// The task this event is about: its `task` arg, else the id in a
+    /// `task-<id>` name (the only tag v1 journals carry).
+    pub fn task(&self) -> Option<i64> {
+        self.arg("task")
+            .map(|t| t as i64)
+            .or_else(|| self.name.strip_prefix("task-")?.parse().ok())
+    }
+
+    /// Whether this is an executed job: a worker span that is not
+    /// profile detail.
+    pub fn is_job(&self) -> bool {
+        matches!(self.track, Track::Worker(_))
+            && self.kind == EventKind::Span
+            && !self.is_profile_detail()
+    }
+
+    /// The class a master `device_class:<name>` instant tags its
+    /// `worker` arg with.
+    pub fn device_class(&self) -> Option<&str> {
+        match self.track {
+            Track::Master => self.name.strip_prefix("device_class:"),
+            _ => None,
+        }
+    }
+
+    /// `(worker, is_gpu)` of a master `worker_registered` instant.
+    pub fn registration(&self) -> Option<(usize, bool)> {
+        if self.track != Track::Master || self.name != "worker_registered" {
+            return None;
+        }
+        Some((
+            self.arg("worker")? as usize,
+            self.arg("is_gpu") == Some(1.0),
+        ))
+    }
+
+    /// λ of the scheduler's `binsearch_done` instant: its `lambda` arg,
+    /// else `upper_bound` (the value `lambda` duplicates).
+    pub fn lambda(&self) -> Option<f64> {
+        if self.track != Track::Scheduler || self.name != "binsearch_done" {
+            return None;
+        }
+        self.arg("lambda").or_else(|| self.arg("upper_bound"))
+    }
 }
 
 struct Inner {
@@ -482,6 +532,44 @@ mod tests {
         });
         assert_eq!(obs.event_count(), 100);
         assert_eq!(obs.counters(), vec![("jobs".to_string(), 100.0)]);
+    }
+
+    #[test]
+    fn accessors_decode_event_tags() {
+        let obs = Obs::enabled();
+        obs.span(Track::Worker(1), "task-7", 0.0, 1.0, None, &[]);
+        obs.span(
+            Track::Worker(1),
+            "phase_dp_inner",
+            0.0,
+            1.0,
+            None,
+            &[("task", 3.0)],
+        );
+        obs.instant(
+            Track::Master,
+            "worker_registered",
+            &[("worker", 2.0), ("is_gpu", 1.0)],
+        );
+        obs.instant(Track::Master, "device_class:knl", &[("worker", 2.0)]);
+        obs.instant(Track::Scheduler, "binsearch_done", &[("upper_bound", 4.5)]);
+        obs.instant(Track::Faults, "device_class:knl", &[]);
+        let e = obs.events();
+        assert_eq!(e[0].task(), Some(7), "task id from the name");
+        assert_eq!(e[1].task(), Some(3), "task id from the arg");
+        assert_eq!(e[2].task(), None);
+        assert!(e[0].is_job() && !e[1].is_job() && !e[2].is_job());
+        assert_eq!(e[2].registration(), Some((2, true)));
+        assert_eq!(e[3].registration(), None);
+        assert_eq!(e[3].device_class(), Some("knl"));
+        assert_eq!(
+            e[5].device_class(),
+            None,
+            "only master instants tag classes"
+        );
+        assert_eq!(e[4].lambda(), Some(4.5), "λ falls back to upper_bound");
+        assert_eq!(e[2].lambda(), None);
+        assert_eq!(e[3].arg("worker"), Some(2.0));
     }
 
     #[test]

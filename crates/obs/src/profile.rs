@@ -4,7 +4,7 @@
 //! The tracing layer (PR 1) answers *when* things ran; the metrics
 //! layer (PR 3) answers *how often and how long on average*. This
 //! module answers *where the time went inside a task*: per-job host
-//! phases (profile build, DP inner loop, traceback) and per-kernel
+//! phases (profile build, DP inner loop) and per-kernel
 //! device phases (launch latency, compute, H2D/D2H transfer), folded
 //! into collapsed stacks with **two weights per stack** — wall-clock
 //! seconds and modelled-clock seconds — so one profile serves both the
@@ -17,9 +17,6 @@
 //! worker:W;task-T                      ← self = task minus its phases
 //! worker:W;task-T;profile_build        ← striped query-profile setup
 //! worker:W;task-T;dp_inner             ← the DP loop proper
-//! worker:W;task-T;traceback            ← alignment reconstruction (0 in
-//!                                        score-only searches, kept so
-//!                                        the taxonomy is stable)
 //! device:D;h2d_transfer                ← PCIe uploads
 //! device:D;d2h_transfer                ← score readback (overlapped,
 //!                                        not on the device clock)
@@ -72,8 +69,7 @@ pub struct StackWeight {
 /// Per-phase totals inside one worker.
 #[derive(Debug, Clone, Serialize)]
 pub struct PhaseTotal {
-    /// Phase name (`profile_build`, `dp_inner`, `traceback`, or `task`
-    /// for unattributed self time).
+    /// Phase name (`profile_build` or `dp_inner`).
     pub name: String,
     /// Wall seconds across all of the worker's jobs.
     pub wall: f64,
@@ -257,11 +253,7 @@ pub struct Profile {
 
 /// Worker phase-span names the fold understands (recorded by the
 /// runtime workers when profiling is on).
-const WORKER_PHASES: [&str; 3] = ["profile_build", "dp_inner", "traceback"];
-
-fn arg(event: &Event, key: &str) -> Option<f64> {
-    event.args.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
-}
+const WORKER_PHASES: [&str; 2] = ["profile_build", "dp_inner"];
 
 fn finite(v: f64) -> f64 {
     if v.is_finite() {
@@ -315,12 +307,12 @@ impl Profile {
     }
 
     /// Fold an event stream (e.g. one parsed back from a journal with
-    /// [`analysis::parse_journal`](crate::analysis::parse_journal)).
+    /// [`journal::parse_journal`](crate::journal::parse_journal)).
     pub fn from_events(events: &[Event]) -> Profile {
         // (worker, task) → (wall, modelled, modelled_end)
         let mut tasks: BTreeMap<(usize, i64), (f64, f64, f64)> = BTreeMap::new();
         // (worker, task, phase) → (wall, modelled)
-        let mut phases: BTreeMap<(usize, i64, String), (f64, f64)> = BTreeMap::new();
+        let mut phases: BTreeMap<(usize, i64, &str), (f64, f64)> = BTreeMap::new();
 
         struct DevAcc {
             kernels: usize,
@@ -371,38 +363,25 @@ impl Profile {
             })
         }
 
-        let task_of = |event: &Event| -> i64 {
-            arg(event, "task")
-                .map(|t| t as i64)
-                .or_else(|| {
-                    event
-                        .name
-                        .strip_prefix("task-")
-                        .and_then(|s| s.parse().ok())
-                })
-                .unwrap_or(-1)
-        };
-
         for event in events {
             match event.track {
                 Track::Worker(w) if event.kind == EventKind::Span => {
                     let wall = finite(event.wall_dur).max(0.0);
                     let virt = finite(event.virt_dur.unwrap_or(0.0)).max(0.0);
-                    let phase = WORKER_PHASES
-                        .iter()
-                        .find(|p| event.name == format!("phase_{p}"));
-                    if let Some(phase) = phase {
-                        let e = phases
-                            .entry((w, task_of(event), phase.to_string()))
-                            .or_insert((0.0, 0.0));
-                        e.0 += wall;
-                        e.1 += virt;
-                    } else {
+                    let task = event.task().unwrap_or(-1);
+                    if event.is_job() {
                         let end = finite(event.virt_start.unwrap_or(0.0)) + virt;
-                        let e = tasks.entry((w, task_of(event))).or_insert((0.0, 0.0, 0.0));
+                        let e = tasks.entry((w, task)).or_insert((0.0, 0.0, 0.0));
                         e.0 += wall;
                         e.1 += virt;
                         e.2 = e.2.max(end);
+                    } else if let Some(phase) = WORKER_PHASES
+                        .into_iter()
+                        .find(|p| event.name.strip_prefix("phase_") == Some(p))
+                    {
+                        let e = phases.entry((w, task, phase)).or_insert((0.0, 0.0));
+                        e.0 += wall;
+                        e.1 += virt;
                     }
                 }
                 Track::Device(d) if event.kind == EventKind::Span => {
@@ -415,12 +394,12 @@ impl Profile {
                             a.kernels += 1;
                             a.kernel_wall += wall;
                             a.kernel_seconds += virt;
-                            a.useful_cells += arg(event, "useful_cells").unwrap_or(0.0);
-                            a.padded_cells += arg(event, "padded_cells").unwrap_or(0.0);
+                            a.useful_cells += event.arg("useful_cells").unwrap_or(0.0);
+                            a.padded_cells += event.arg("padded_cells").unwrap_or(0.0);
                             a.intervals.push((virt_start, virt_start + virt));
-                            let len = arg(event, "query_len").unwrap_or(0.0) as usize;
+                            let len = event.arg("query_len").unwrap_or(0.0) as usize;
                             a.by_len
-                                .push((len, virt, arg(event, "useful_cells").unwrap_or(0.0)));
+                                .push((len, virt, event.arg("useful_cells").unwrap_or(0.0)));
                         }
                         "kernel_launch" => {
                             a.launch_wall += wall;
@@ -434,21 +413,21 @@ impl Profile {
                             a.transfers += 1;
                             a.transfer_wall += wall;
                             a.transfer_seconds += virt;
-                            a.bytes_h2d += arg(event, "bytes").unwrap_or(0.0);
+                            a.bytes_h2d += event.arg("bytes").unwrap_or(0.0);
                             a.intervals.push((virt_start, virt_start + virt));
                         }
                         "d2h_transfer" => {
                             a.d2h_wall += wall;
                             a.d2h_seconds += virt;
-                            a.bytes_d2h += arg(event, "bytes").unwrap_or(0.0);
+                            a.bytes_d2h += event.arg("bytes").unwrap_or(0.0);
                         }
                         _ => {}
                     }
                 }
                 Track::Device(d) if event.name == "device_spec" => {
                     let a = dev(&mut devices, d);
-                    a.peak_gcups = arg(event, "peak_gcups").unwrap_or(0.0);
-                    a.pcie_bytes_per_sec = arg(event, "pcie_bytes_per_sec").unwrap_or(0.0);
+                    a.peak_gcups = event.arg("peak_gcups").unwrap_or(0.0);
+                    a.pcie_bytes_per_sec = event.arg("pcie_bytes_per_sec").unwrap_or(0.0);
                 }
                 _ => {}
             }
@@ -466,7 +445,7 @@ impl Profile {
             let mut child_wall = 0.0;
             let mut child_virt = 0.0;
             for phase in WORKER_PHASES {
-                if let Some(&(pw, pv)) = phases.get(&(w, task, phase.to_string())) {
+                if let Some(&(pw, pv)) = phases.get(&(w, task, phase)) {
                     child_wall += pw;
                     child_virt += pv;
                     stacks.push(StackWeight {
@@ -498,15 +477,15 @@ impl Profile {
             wp.modelled_end = wp.modelled_end.max(end);
         }
         // Per-worker phase totals.
-        for (&(w, _, ref phase), &(pw, pv)) in &phases {
+        for (&(w, _, phase), &(pw, pv)) in &phases {
             if let Some(wp) = worker_fold.get_mut(&w) {
-                match wp.phases.iter_mut().find(|p| &p.name == phase) {
+                match wp.phases.iter_mut().find(|p| p.name == phase) {
                     Some(p) => {
                         p.wall += pw;
                         p.modelled += pv;
                     }
                     None => wp.phases.push(PhaseTotal {
-                        name: phase.clone(),
+                        name: phase.to_string(),
                         wall: pw,
                         modelled: pv,
                     }),

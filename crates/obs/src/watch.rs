@@ -27,7 +27,7 @@
 //! [`record_alert`]. The watchdog skips alert events on input
 //! ([`Event::is_alert`]) so replaying its own output is a no-op.
 
-use crate::{Event, EventKind, Obs, Track};
+use crate::{Event, Obs, Track};
 use std::collections::BTreeMap;
 
 /// Thresholds for the watchdog; the defaults are deliberately
@@ -167,9 +167,9 @@ pub fn alerts_from_events(events: &[Event]) -> Vec<Alert> {
         .filter(|e| e.is_alert())
         .filter_map(|e| {
             let kind = AlertKind::from_label(&e.name)?;
-            let worker = arg(e, "worker").filter(|w| *w >= 0.0).map(|w| w as usize);
-            let value = arg(e, "value").unwrap_or(0.0);
-            let threshold = arg(e, "threshold").unwrap_or(0.0);
+            let worker = e.arg("worker").filter(|w| *w >= 0.0).map(|w| w as usize);
+            let value = e.arg("value").unwrap_or(0.0);
+            let threshold = e.arg("threshold").unwrap_or(0.0);
             Some(Alert {
                 kind,
                 worker,
@@ -180,10 +180,6 @@ pub fn alerts_from_events(events: &[Event]) -> Vec<Alert> {
             })
         })
         .collect()
-}
-
-fn arg(event: &Event, key: &str) -> Option<f64> {
-    event.args.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
 }
 
 fn describe(kind: AlertKind, worker: Option<usize>, value: f64, threshold: f64) -> String {
@@ -337,37 +333,36 @@ impl Watchdog {
         let mut fired = Vec::new();
 
         match event.track {
-            Track::Scheduler if event.name == "binsearch_done" => {
-                if let Some(lambda) = arg(event, "lambda") {
+            Track::Scheduler => {
+                if let Some(lambda) = event.lambda() {
                     self.lambda = lambda;
                 }
             }
             Track::Master => match event.name.as_str() {
                 "worker_registered" => {
-                    if let Some(w) = arg(event, "worker") {
-                        let is_gpu = arg(event, "is_gpu").unwrap_or(0.0) > 0.5;
+                    if let Some((w, is_gpu)) = event.registration() {
                         let wall = self.wall;
                         self.workers
-                            .entry(w as usize)
+                            .entry(w)
                             .or_insert_with(|| WorkerState::new(is_gpu, wall))
                             .is_gpu = is_gpu;
                     }
                 }
                 "task_model" => {
-                    if let Some(task) = arg(event, "task") {
+                    if let Some(task) = event.arg("task") {
                         self.model.insert(
                             task as i64,
                             (
-                                arg(event, "p_cpu").unwrap_or(0.0),
-                                arg(event, "p_gpu").unwrap_or(0.0),
+                                event.arg("p_cpu").unwrap_or(0.0),
+                                event.arg("p_gpu").unwrap_or(0.0),
                             ),
                         );
                     }
                 }
                 "task_dispatch" => {
-                    let worker = arg(event, "worker").unwrap_or(-1.0);
+                    let worker = event.arg("worker").unwrap_or(-1.0);
                     if worker >= 0.0 {
-                        if let Some(task) = arg(event, "task") {
+                        if let Some(task) = event.arg("task") {
                             let wall = self.wall;
                             let state = self
                                 .workers
@@ -379,8 +374,7 @@ impl Watchdog {
                     }
                 }
                 "worker_deadline" => {
-                    if let (Some(w), Some(timeout)) = (arg(event, "worker"), arg(event, "timeout"))
-                    {
+                    if let (Some(w), Some(timeout)) = (event.arg("worker"), event.arg("timeout")) {
                         let wall = self.wall;
                         self.workers
                             .entry(w as usize)
@@ -390,12 +384,12 @@ impl Watchdog {
                 }
                 _ => {}
             },
-            Track::Worker(w) if event.kind == EventKind::Span && !event.is_profile_detail() => {
+            Track::Worker(w) if event.is_job() => {
                 self.fold_job(w, event, &mut fired);
             }
             Track::Faults => match event.name.as_str() {
                 "worker_death" => {
-                    if let Some(w) = arg(event, "worker") {
+                    if let Some(w) = event.arg("worker") {
                         let w = w as usize;
                         let wall = self.wall;
                         let state = self
@@ -409,7 +403,7 @@ impl Watchdog {
                                 &mut fired,
                                 AlertKind::WorkerDead,
                                 Some(w),
-                                arg(event, "reason").unwrap_or(0.0),
+                                event.arg("reason").unwrap_or(0.0),
                                 0.0,
                             );
                         }
@@ -420,8 +414,8 @@ impl Watchdog {
                         &mut fired,
                         AlertKind::ReoptFired,
                         None,
-                        arg(event, "skew").unwrap_or(0.0),
-                        arg(event, "threshold").unwrap_or(0.0),
+                        event.arg("skew").unwrap_or(0.0),
+                        event.arg("threshold").unwrap_or(0.0),
                     );
                 }
                 _ => {}
@@ -437,12 +431,7 @@ impl Watchdog {
     /// outstanding-queue retirement, then the straggler and
     /// bound-at-risk judgements.
     fn fold_job(&mut self, w: usize, event: &Event, fired: &mut Vec<Alert>) {
-        let task = arg(event, "task").map(|t| t as i64).or_else(|| {
-            event
-                .name
-                .strip_prefix("task-")
-                .and_then(|s| s.parse().ok())
-        });
+        let task = event.task();
         let virt_end = event.virt_start.and_then(|s| event.virt_dur.map(|d| s + d));
         let wall = self.wall;
         let is_gpu = self.workers.get(&w).map(|s| s.is_gpu).unwrap_or(false);
@@ -581,6 +570,7 @@ impl Watchdog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EventKind;
 
     fn dispatch(task: i64, worker: usize) -> Event {
         Event {
